@@ -3,9 +3,11 @@
 A chain holds one graph per level (level 0 on top) and a family of partial
 typing morphisms between levels, total into level 0.  Inclusion chains are
 chains of subgraphs of a common base graph; a multilevel typing of a graph
-refactors into an inclusion chain plus a chain morphism.  Rewriting happens
-here: a pushout of chains is computed level-wise over the base pushout and
-extended over untouched levels, and deletion retypes its result by reduct.
+refactors into an inclusion chain plus a chain morphism.  A rewrite can be
+stated here: a pushout of chains is computed level-wise over the base pushout
+and extended over untouched levels, and deletion retypes its result by
+reduct.  The rewrite module applies rules on graphs alone; the tests build
+each application this way too and check that the two agree.
 """
 
 from __future__ import annotations

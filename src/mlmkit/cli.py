@@ -32,12 +32,23 @@ from .simulate import (
 )
 
 
-def _load_system(path: str):
-    return load_hierarchy(Path(path).read_text(encoding="utf-8"))
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise LoadError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
+def _load_system(path: str, model: str | None = None):
+    """Load a hierarchy file; a model named on the command line must be in it."""
+    system = load_hierarchy(_read(path))
+    if model is not None and not any(model in h for h in system.hierarchies()):
+        raise LoadError(f"{path}: unknown model {model}")
+    return system
 
 
 def _load_rules(path: str):
-    return {r.name: r for r in parse_rules(Path(path).read_text(encoding="utf-8"))}
+    return {r.name: r for r in parse_rules(_read(path))}
 
 
 def _pick_rule(rules: dict, name: str, params: list):
@@ -61,7 +72,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_match(args) -> int:
-    system = _load_system(args.hierarchy)
+    system = _load_system(args.hierarchy, args.model)
     rule = _pick_rule(_load_rules(args.rules), args.rule, args.param)
     found, bindings = match_for_model(system, rule, args.model)
     for k, b in enumerate(bindings, start=1):
@@ -76,7 +87,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_proliferate(args) -> int:
-    system = _load_system(args.hierarchy)
+    system = _load_system(args.hierarchy, args.model)
     rule = _pick_rule(_load_rules(args.rules), args.rule, args.param)
     out = proliferate(system, rule, args.model)
     if args.outdir:
@@ -95,7 +106,7 @@ def cmd_proliferate(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    system = _load_system(args.hierarchy)
+    system = _load_system(args.hierarchy, args.model)
     rule = _pick_rule(_load_rules(args.rules), args.rule, args.param)
     found, bindings = match_for_model(system, rule, args.model)
     matches = [
@@ -124,9 +135,9 @@ def cmd_apply(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    system = _load_system(args.hierarchy)
+    system = _load_system(args.hierarchy, args.model)
     rules = _load_rules(args.rules)
-    config = parse_layers(Path(args.layers).read_text(encoding="utf-8"))
+    config = parse_layers(_read(args.layers))
     if args.interactive:
         trace = Trace(args.seed)
         chooser = InteractiveChoice(sys.stdin, sys.stdout, SeededChoice(args.seed))
@@ -151,7 +162,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check_chain(args) -> int:
-    system = _load_system(args.hierarchy)
+    system = _load_system(args.hierarchy, args.model)
     if args.rule:
         if not args.rules or not args.model:
             sys.stderr.write("check-chain --rule needs <rules> and --model\n")
@@ -176,7 +187,7 @@ def cmd_check_chain(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    system = _load_system(args.hierarchy)
+    system = _load_system(args.hierarchy, args.model)
     text = export_dot(system, args.model)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")

@@ -397,27 +397,34 @@ def type_closure(system: System, model_name: str, elem) -> list[TypeEntry]:
         return hit
     seen: set[tuple] = set()
     out: list[TypeEntry] = []
-    stack = [TypeEntry(model_name, elem, 0, 0)]
+    # each entry carries the references on its path, so that a typing cycle
+    # (reported by check_typing_structure) ends the walk instead of looping
+    stack = [(TypeEntry(model_name, elem, 0, 0), frozenset())]
     while stack:
-        entry = stack.pop()
+        entry, path = stack.pop()
         key = (entry.model, entry.elem, entry.distance, entry.steps)
         if key in seen:
             continue
         seen.add(key)
         out.append(entry)
+        path = path | {(entry.model, entry.elem)}
         model = system.find_model(entry.model)
         # inheritance ancestors count as the same element for typing purposes
         if isinstance(entry.elem, str):
             for parent in model.inheritance_parents(entry.elem):
-                stack.append(TypeEntry(entry.model, parent, entry.distance, entry.steps))
+                stack.append((TypeEntry(entry.model, parent, entry.distance, entry.steps), path))
         typing = model.typings.get(entry.elem)
         if not typing:
             continue
         for _, ref in typing.all_refs():
             if entry.model == ROOT_MODEL:
                 continue  # the root is self-defining; stop there
+            if (ref.model, ref.elem) in path:
+                continue
             d = jump_distance(system, entry.model, ref)
-            stack.append(TypeEntry(ref.model, ref.elem, entry.distance + d, entry.steps + 1))
+            stack.append(
+                (TypeEntry(ref.model, ref.elem, entry.distance + d, entry.steps + 1), path)
+            )
     out.sort(key=lambda t: (t.steps, t.distance, t.model, elem_str(t.elem)))
     system.cache[ck] = out
     return out
@@ -458,9 +465,11 @@ def has_type(system: System, model_name: str, elem, ref: TypeRef) -> bool:
     return (ref.model, ref.elem) in type_refs(system, model_name, elem)
 
 
-def effective_potency(system: System, model_name: str, elem) -> Potency:
+def effective_potency(system: System, model_name: str, elem, _path=frozenset()) -> Potency:
     """Declared potency, or the default: 1-1 range with depth one less than the
-    type's depth (unbounded stays unbounded).  Root elements default to 0-*-*."""
+    type's depth (unbounded stays unbounded).  Root elements default to 0-*-*.
+    A type already on the path (a typing cycle, which check_typing_structure
+    reports) adds no depth."""
     model = system.find_model(model_name)
     declared = model.potencies.get(elem)
     if declared is not None:
@@ -470,8 +479,11 @@ def effective_potency(system: System, model_name: str, elem) -> Potency:
     depths = []
     typing = model.typings.get(elem)
     if typing:
+        path = _path | {(model_name, elem)}
         for _, ref in typing.all_refs():
-            tp = effective_potency(system, ref.model, ref.elem)
+            if (ref.model, ref.elem) in path:
+                continue
+            tp = effective_potency(system, ref.model, ref.elem, path)
             if tp.depth is not None:
                 depths.append(tp.depth)
     # the most restrictive of all the types' depths, one less for the instance

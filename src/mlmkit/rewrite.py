@@ -1,6 +1,16 @@
-"""Rule execution: proliferation into plain two-level rules and direct
-application by pushout plus final pullback complement, with retyping through
-the chain machinery and potency/multiplicity post-filtering.
+"""Rule execution: direct application of a coupled rule at one match, its
+proliferation into plain two-level rules, and their application.
+
+Both kinds of application rewrite the same way: the interface is glued in by
+a pushout along the inclusion of the FROM graph, the FROM-only part is
+deleted by final pullback complement, and the rewritten model keeps the
+records of its surviving elements.  Created elements are typed by the
+binding image of their pattern type (a coupled rule) or by the concrete type
+that proliferation recorded (a two-level rule).  A post-filter then rejects
+results with fresh potency, multiplicity or other violations.  The same
+rewrite built as a pushout of inclusion chains followed by a reduct is the
+reference construction that the tests check every shipped application
+against.
 
 Only the target model changes; everything above it is read-only.  Created
 elements are named after their pattern variables with the smallest unused
@@ -10,8 +20,8 @@ elements are named after their pattern variables with the smallest unused
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
-from .chains import ChainMorphism, chain_pushout, inclusion_chain, reduct
 from .graph import (
     Arrow,
     Graph,
@@ -23,14 +33,15 @@ from .graph import (
 )
 from .hierarchy import (
     APPLICATION,
+    ROOT_ARROW,
     ROOT_MODEL,
+    ROOT_NODE,
     ElementTyping,
     Model,
-    Multiplicity,
     System,
     TypeRef,
-    domain_between,
     elem_str,
+    has_type,
     transitive_types,
     validate_hierarchy,
 )
@@ -99,22 +110,23 @@ def _instance_block_graph(rule, block: PatternBlock, fresh_nodes: dict, fresh_ar
     names; elements also present in the FROM block keep their pattern names
     (which makes the interface inclusion of the FROM graph literal)."""
     lhs_keys = set(rule.lhs.elements)
-    nodes = set()
-    for el in block.nodes():
-        nodes.add(el.name if el.name in {e.name for e in rule.lhs.nodes()} else fresh_nodes.get(el.name, el.name))
+    lhs_node_names = {e.name for e in rule.lhs.nodes()}
+
+    def node(name: str) -> str:
+        return name if name in lhs_node_names else fresh_nodes[name]
+
+    nodes = {fresh_nodes.get(el.name, el.name) for el in block.nodes()}
     arrows = set()
     for el in block.arrows():
         if el.key in lhs_keys:
             arrows.add(el.key)
         else:
-            src = el.src if el.src in {e.name for e in rule.lhs.nodes()} else fresh_nodes[el.src]
-            tgt = el.tgt if el.tgt in {e.name for e in rule.lhs.nodes()} else fresh_nodes[el.tgt]
-            arrows.add(Arrow(fresh_arrows[el.key], src, tgt))
+            arrows.add(Arrow(fresh_arrows[el.key], node(el.src), node(el.tgt)))
     return Graph(frozenset(nodes), frozenset(arrows))
 
 
 # ---------------------------------------------------------------------------
-# Direct application
+# Application
 # ---------------------------------------------------------------------------
 
 
@@ -125,72 +137,58 @@ def apply_rule(
     lhs_match: LhsMatch,
     postfilter: bool = True,
 ) -> ApplicationResult:
-    """Apply one rule at one match: glue in the interface by a chain-level
-    pushout, delete the FROM-only part by final pullback complement, retype
-    the result by reduct, then re-validate potency and multiplicity.  Callers
-    that guarantee validity themselves may skip the post-filter."""
-    from .graph import SubgraphRef
-
+    """Apply one rule at one match: glue in the interface by pushout, delete
+    the FROM-only part by final pullback complement, type the created
+    elements by the binding images of their pattern types, then re-validate
+    potency and multiplicity.  Callers that guarantee validity themselves may
+    skip the post-filter."""
     if rule.params:
         raise RuleError(f"rule {rule.name} has unbound parameters")
     binding = lhs_match.binding
-    mu = lhs_match.mu_map()
+    return _rewrite(
+        system,
+        rule,
+        model_name,
+        binding,
+        lhs_match.mu_map(),
+        lambda el: _bound_type(rule, binding, el),
+        postfilter,
+    )
+
+
+def _bound_type(rule: McmtRule, binding: Binding, el: PatternElement) -> Optional[TypeRef]:
+    """The binding image of a pattern element's type (None: the root type)."""
+    if el.type is None or el.type.level == 0:
+        return None
+    tel = rule.block(el.type.level).by_name(el.type.name)
+    return TypeRef(binding.model_at(el.type.level), binding.lookup(el.type.level, tel.key))
+
+
+def _rewrite(
+    system: System,
+    rule: McmtRule | TwoLevelRule,
+    model_name: str,
+    binding: Binding,
+    mu: dict,
+    type_of: Callable[[PatternElement], Optional[TypeRef]],
+    postfilter: bool,
+) -> ApplicationResult:
+    """The co-span rewrite of the target model at match mu: pushout, final
+    pullback complement, rebuild of the model around the surviving records,
+    typing of the created elements by type_of, TO attribute effects and the
+    optional post-filter."""
     model = system.find_model(model_name)
     target = model.graph
-
-    iface = rule.interface()
-    lhs_graph = rule.lhs.graph()
     fresh_nodes, fresh_arrows = _rename_created(rule, mu, target)
-    i_graph = _instance_block_graph(rule, iface, fresh_nodes, fresh_arrows)
-    r_graph = _instance_block_graph(rule, _rhs_block(rule), fresh_nodes, fresh_arrows)
+    t_graph = _glue_and_delete(rule, mu, target, fresh_nodes, fresh_arrows)
+    inst = _instance_keys(rule, mu, fresh_nodes, fresh_arrows)
 
-    mu_morph = GraphMorphism(
-        lhs_graph,
-        target,
-        {el.name: mu[el.name] for el in rule.lhs.nodes()},
-        {el.key: mu[el.key] for el in rule.lhs.arrows()},
-    )
-
-    # typing chains over the binding's stack
-    stack = list(binding.stack)
-    sigma_s = [domain_between(system, model_name, stack[a]) for a in range(1, len(stack))]
-    s_chain = inclusion_chain(target, [s.definedness().to_graph() for s in sigma_s])
-    sigma_l = rule.sigma(rule.lhs)
-    l_chain = inclusion_chain(lhs_graph, [s.definedness().to_graph() for s in sigma_l])
-    i_levels = [
-        _rename_level(rule, s.definedness(), fresh_nodes, fresh_arrows)
-        for s in rule.sigma(iface)
-    ]
-    i_chain = inclusion_chain(i_graph, i_levels)
-
-    lam = ChainMorphism(
-        l_chain,
-        i_chain,
-        tuple(range(rule.depth + 1)),
-        tuple(
-            inclusion(l_chain.levels[i], i_chain.levels[i])
-            for i in range(rule.depth + 1)
-        ),
-    )
-    mu_phis = []
-    for i in range(rule.depth + 1):
-        sub = SubgraphRef(lhs_graph, l_chain.levels[i].nodes, l_chain.levels[i].arrows)
-        mu_phis.append(mu_morph.restrict(sub).corestrict(s_chain.levels[binding.f[i]]))
-    mu_cm = ChainMorphism(l_chain, s_chain, binding.f, tuple(mu_phis))
-
-    po = chain_pushout(lam, mu_cm)
-    delta = po.glued.phis[0]
-
-    fpbc = final_pullback_complement(inclusion(r_graph, i_graph), delta)
-    t_graph = fpbc.graph
-    # the rewritten chain: every level of the pushout chain cut down to T
-    t_chain = reduct(po.chain, tuple(range(len(stack))), fpbc.into_d)
-    assert t_chain.base == t_graph
-
-    new_model = _rebuild_model(
-        system, rule, model, binding, mu, fresh_nodes, fresh_arrows, t_graph
-    )
-    new_system = system.replace_model(new_model)
+    new = _survivors(model, t_graph)
+    for el in rule.interface().elements.values():
+        if el.key not in rule.lhs.elements:
+            _type_created(system, new, inst[el.key], type_of(el))
+    _attribute_effects(rule, model, new, inst)
+    new_system = system.replace_model(new)
 
     if postfilter:
         baseline = set(validate_hierarchy(system).violations)
@@ -202,55 +200,48 @@ def apply_rule(
     preserved = sorted(t_graph.nodes & target.nodes) + sorted(t_graph.arrows & target.arrows)
     created = sorted(t_graph.nodes - target.nodes) + sorted(t_graph.arrows - target.arrows)
     deleted = sorted(target.nodes - t_graph.nodes) + sorted(target.arrows - t_graph.arrows)
-    return ApplicationResult(
-        new_system, model_name, binding, mu, created, deleted, preserved
+    return ApplicationResult(new_system, model_name, binding, mu, created, deleted, preserved)
+
+
+def _glue_and_delete(rule, mu: dict, target: Graph, fresh_nodes: dict, fresh_arrows: dict) -> Graph:
+    """The rewritten graph: pushout of the interface along the inclusion of
+    the FROM graph and the match, then final pullback complement of the TO
+    graph's inclusion into the interface."""
+    lhs_graph = rule.lhs.graph()
+    i_graph = _instance_block_graph(rule, rule.interface(), fresh_nodes, fresh_arrows)
+    r_graph = _instance_block_graph(rule, rule.rhs, fresh_nodes, fresh_arrows)
+    mu_morph = GraphMorphism(
+        lhs_graph,
+        target,
+        {el.name: mu[el.name] for el in rule.lhs.nodes()},
+        {el.key: mu[el.key] for el in rule.lhs.arrows()},
     )
+    po = pushout_along_inclusion(inclusion(lhs_graph, i_graph), mu_morph)
+    return final_pullback_complement(inclusion(r_graph, i_graph), po.glued).graph
 
 
-def _rhs_block(rule: McmtRule) -> PatternBlock:
-    return rule.rhs
-
-
-def _rename_level(rule, sub, fresh_nodes: dict, fresh_arrows: dict) -> Graph:
-    lhs_node_names = {e.name for e in rule.lhs.nodes()}
-    lhs_keys = set(rule.lhs.elements)
-    nodes = {n if n in lhs_node_names else fresh_nodes[n] for n in sub.nodes}
-    arrows = set()
-    for a in sub.arrows:
-        if a in lhs_keys:
-            arrows.add(a)
-        else:
-            src = a.src if a.src in lhs_node_names else fresh_nodes[a.src]
-            tgt = a.tgt if a.tgt in lhs_node_names else fresh_nodes[a.tgt]
-            arrows.add(Arrow(fresh_arrows[a], src, tgt))
-    return Graph(frozenset(nodes), frozenset(arrows))
-
-
-def _rebuild_model(
-    system: System,
-    rule: McmtRule,
-    model: Model,
-    binding: Binding,
-    mu: dict,
-    fresh_nodes: dict,
-    fresh_arrows: dict,
-    t_graph: Graph,
-) -> Model:
-    """Assemble the rewritten model: survivors keep their records, created
-    elements are typed by the binding images of their pattern types, and TO
-    attribute assignments are applied last."""
+def _instance_keys(rule, mu: dict, fresh_nodes: dict, fresh_arrows: dict) -> dict:
+    """Pattern key -> element of the rewritten model, for every interface
+    element: FROM elements by the match, created ones by their fresh names."""
     lhs_node_names = {e.name for e in rule.lhs.nodes()}
 
-    def inst_node(name: str) -> str:
+    def node(name: str) -> str:
         return mu[name] if name in lhs_node_names else fresh_nodes[name]
 
-    def inst_key(el: PatternElement):
+    out = {}
+    for el in rule.interface().elements.values():
         if el.key in rule.lhs.elements:
-            return mu[el.key]
-        if el.kind == "node":
-            return fresh_nodes[el.name]
-        return Arrow(fresh_arrows[el.key], inst_node(el.src), inst_node(el.tgt))
+            out[el.key] = mu[el.key]
+        elif el.kind == "node":
+            out[el.key] = fresh_nodes[el.name]
+        else:
+            out[el.key] = Arrow(fresh_arrows[el.key], node(el.src), node(el.tgt))
+    return out
 
+
+def _survivors(model: Model, t_graph: Graph) -> Model:
+    """The rewritten model over t_graph, with the typings, potencies,
+    multiplicities and attributes of the elements that survive."""
     new = Model(model.name, t_graph)
     for e in t_graph.elements():
         if model.graph.has(e):
@@ -269,24 +260,37 @@ def _rebuild_model(
     for owner, values in model.attr_values.items():
         if owner in t_graph.nodes:
             new.attr_values[owner] = dict(values)
+    return new
 
-    # created elements: pattern type -> binding image
-    for el in rule.interface().elements.values():
-        if el.key in rule.lhs.elements:
-            continue
-        _type_created(system, rule, binding, new, el, inst_key(el))
 
-    # attribute effects of the TO block
+def _type_created(system: System, new: Model, key, ref: Optional[TypeRef]):
+    """Type a created element by ref, in the dimension of the hierarchy that
+    holds ref; without ref, or outside the application dimension, its own
+    type is the root type."""
+    typing = new.typing(key)
+    hier = None if ref is None else system.hierarchy_of(ref.model)
+    if hier is not None and hier.dimension == APPLICATION:
+        typing.own = ref
+        return
+    typing.own = TypeRef(ROOT_MODEL, ROOT_ARROW if isinstance(key, Arrow) else ROOT_NODE)
+    if hier is system.data:
+        typing.data = ref
+    elif hier is not None:
+        typing.supplementary[hier.name] = ref
+
+
+def _attribute_effects(rule, model: Model, new: Model, inst: dict):
+    """Apply the TO block's attribute assignments to the rewritten model;
+    an increment reads the matched model and needs the attribute there."""
     for el in rule.rhs.elements.values():
-        target_key = inst_key(el)
+        target_key = inst[el.key]
         for attr, clause in sorted(el.attrs.items()):
             if clause.kind == "any":
                 continue
             if clause.kind == "lit":
                 new.attr_values.setdefault(target_key, {})[attr] = clause.value
             elif clause.kind == "ref":
-                src_key = inst_node(clause.elem)
-                base = model.attr_values.get(src_key, {}).get(clause.attr)
+                base = model.attr_values.get(inst[clause.elem], {}).get(clause.attr)
                 if base is None:
                     raise NotApplicable(
                         f"attribute {clause.elem}.{clause.attr} absent in the match"
@@ -296,46 +300,6 @@ def _rebuild_model(
                 new.attr_values.setdefault(target_key, {})[attr] = base + clause.delta
             elif clause.kind == "param":
                 raise RuleError(f"unsubstituted parameter {clause.value}")
-    return new
-
-
-def _type_created(
-    system: System,
-    rule: McmtRule,
-    binding: Binding,
-    new: Model,
-    el: PatternElement,
-    key,
-):
-    typing = new.typing(key)
-    if el.type is None or el.type.level == 0:
-        from .hierarchy import ROOT_ARROW, ROOT_NODE
-
-        typing.own = TypeRef(
-            ROOT_MODEL, ROOT_ARROW if isinstance(key, Arrow) else ROOT_NODE
-        )
-        return
-    blk = rule.block(el.type.level)
-    tel = blk.by_name(el.type.name)
-    bound = binding.lookup(el.type.level, tel.key)
-    bound_model = binding.model_at(el.type.level)
-    ref = TypeRef(bound_model, bound)
-    hier = system.hierarchy_of(bound_model)
-    if hier is system.data:
-        typing.data = ref
-        typing.own = TypeRef(
-            ROOT_MODEL,
-            Arrow("EReference", "EClass", "EClass") if isinstance(key, Arrow) else "EClass",
-        )
-    elif hier.dimension == APPLICATION:
-        typing.own = ref
-    else:
-        typing.supplementary[hier.name] = ref
-        from .hierarchy import ROOT_ARROW, ROOT_NODE
-
-        typing.own = TypeRef(
-            ROOT_MODEL, ROOT_ARROW if isinstance(key, Arrow) else ROOT_NODE
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -518,104 +482,11 @@ def _attr_match(model: Model, el: PatternElement, key) -> bool:
 def apply_two_level(
     system: System, tlr: TwoLevelRule, model_name: str, mu: dict
 ) -> ApplicationResult:
-    """Standard co-span rewrite of a proliferated rule: plain pushout along
-    the interface inclusion, then final pullback complement; created elements
-    are typed directly by the rule's concrete types."""
-    model = system.find_model(model_name)
-    target = model.graph
-    lhs_graph = tlr.lhs.graph()
-
-    pseudo = McmtRule(tlr.name, [], [], tlr.lhs, tlr.rhs)
-    iface = pseudo.interface()
-    fresh_nodes, fresh_arrows = _rename_created(pseudo, mu, target)
-    i_graph = _instance_block_graph(pseudo, iface, fresh_nodes, fresh_arrows)
-    r_graph = _instance_block_graph(pseudo, tlr.rhs, fresh_nodes, fresh_arrows)
-
-    mu_morph = GraphMorphism(
-        lhs_graph,
-        target,
-        {el.name: mu[el.name] for el in tlr.lhs.nodes()},
-        {el.key: mu[el.key] for el in tlr.lhs.arrows()},
-    )
-    po = pushout_along_inclusion(inclusion(lhs_graph, i_graph), mu_morph)
-    fpbc = final_pullback_complement(inclusion(r_graph, i_graph), po.glued)
-    t_graph = fpbc.graph
-
-    lhs_node_names = {e.name for e in tlr.lhs.nodes()}
-
-    def inst_node(name: str) -> str:
-        return mu[name] if name in lhs_node_names else fresh_nodes[name]
-
-    def inst_key(el: PatternElement):
-        if el.key in tlr.lhs.elements:
-            return mu[el.key]
-        if el.kind == "node":
-            return fresh_nodes[el.name]
-        return Arrow(fresh_arrows[el.key], inst_node(el.src), inst_node(el.tgt))
-
-    new = Model(model.name, t_graph)
-    for e in t_graph.elements():
-        if model.graph.has(e):
-            if e in model.typings:
-                old = model.typings[e]
-                new.typings[e] = ElementTyping(old.own, dict(old.supplementary), old.data)
-            if e in model.potencies:
-                new.potencies[e] = model.potencies[e]
-            if isinstance(e, Arrow) and e in model.multiplicities:
-                new.multiplicities[e] = model.multiplicities[e]
-    new.abstract = model.abstract & t_graph.nodes
-    new.inherit_arrows = model.inherit_arrows & t_graph.arrows
-    for owner, values in model.attr_values.items():
-        if owner in t_graph.nodes:
-            new.attr_values[owner] = dict(values)
-    for owner, decls in model.attr_decls.items():
-        if owner in t_graph.nodes:
-            new.attr_decls[owner] = dict(decls)
-
-    from .hierarchy import ROOT_ARROW, ROOT_NODE
-
-    for el in iface.elements.values():
-        if el.key in tlr.lhs.elements:
-            continue
-        key = inst_key(el)
-        ref = tlr.types.get(el.key)
-        t = new.typing(key)
-        default = TypeRef(ROOT_MODEL, ROOT_ARROW if isinstance(key, Arrow) else ROOT_NODE)
-        if ref is None:
-            t.own = default
-        else:
-            hier = system.hierarchy_of(ref.model)
-            if hier is system.data:
-                t.data = ref
-                t.own = default
-            elif hier.dimension == APPLICATION:
-                t.own = ref
-            else:
-                t.supplementary[hier.name] = ref
-                t.own = default
-
-    for el in tlr.rhs.elements.values():
-        target_key = inst_key(el)
-        for attr, clause in sorted(el.attrs.items()):
-            if clause.kind == "lit":
-                new.attr_values.setdefault(target_key, {})[attr] = clause.value
-            elif clause.kind == "ref":
-                src_key = inst_node(clause.elem)
-                base = model.attr_values.get(src_key, {}).get(clause.attr)
-                if base is not None and isinstance(clause.delta, int):
-                    new.attr_values.setdefault(target_key, {})[attr] = base + clause.delta
-
-    new_system = system.replace_model(new)
-    baseline = set(validate_hierarchy(system).violations)
-    after = set(validate_hierarchy(new_system).violations)
-    fresh = sorted(after - baseline)
-    if fresh:
-        raise NotApplicable("; ".join(map(str, fresh)))
-    created = sorted(t_graph.nodes - target.nodes) + sorted(t_graph.arrows - target.arrows)
-    deleted = sorted(target.nodes - t_graph.nodes) + sorted(target.arrows - t_graph.arrows)
-    preserved = sorted(t_graph.nodes & target.nodes) + sorted(t_graph.arrows & target.arrows)
-    return ApplicationResult(
-        new_system, model_name, tlr.binding, mu, created, deleted, preserved
+    """Apply a proliferated rule at match mu by the same rewrite as
+    apply_rule, with created elements typed directly by the rule's concrete
+    types, and always post-filtered."""
+    return _rewrite(
+        system, tlr, model_name, tlr.binding, mu, lambda el: tlr.types.get(el.key), True
     )
 
 
@@ -683,20 +554,11 @@ def _observed_count(system, rule, binding, model_name, el) -> int:
     play the replicated endpoint, given the binding."""
     blk = rule.lhs if el.key in rule.lhs.elements else rule.rhs
     tgt_el = blk.by_name(el.tgt) or rule.interface().by_name(el.tgt)
-    if tgt_el is None or tgt_el.type is None or tgt_el.type.level == 0:
+    ref = None if tgt_el is None else _bound_type(rule, binding, tgt_el)
+    if ref is None:
         return 1
-    tblk = rule.block(tgt_el.type.level)
-    tel = tblk.by_name(tgt_el.type.name)
-    bound = binding.lookup(tgt_el.type.level, tel.key)
-    ref_model = binding.model_at(tgt_el.type.level)
-    from .hierarchy import TypeRef, has_type
-
-    count = 0
     model = system.find_model(model_name)
-    for n in sorted(model.graph.nodes):
-        if has_type(system, model_name, n, TypeRef(ref_model, bound)):
-            count += 1
-    return count
+    return sum(1 for n in model.graph.nodes if has_type(system, model_name, n, ref))
 
 
 def _replicate(rule: McmtRule, pivots: set, copies: int) -> McmtRule:

@@ -4,19 +4,27 @@ Everything here is deliberately written with different machinery than the
 library: the pushout is a quotient of a disjoint sum, the final pullback
 complement is found by enumerating all subgraphs, temporal rewriting runs on
 plain tuples, and bindings are enumerated by unfiltered homomorphism search.
+A rule application is rebuilt in the category of inclusion chains, with the
+typing of every level carried along, as the paper's construction states it.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from mlmkit.chains import ChainMorphism, chain_pushout, inclusion_chain, reduct
 from mlmkit.graph import (
     Arrow,
     Graph,
     GraphMorphism,
+    SubgraphRef,
     enumerate_homomorphisms,
     enumerate_subgraphs,
+    final_pullback_complement,
+    inclusion,
 )
+from mlmkit.hierarchy import domain_between
+from mlmkit.rewrite import _instance_block_graph, _rename_created
 
 
 # ---------------------------------------------------------------------------
@@ -421,3 +429,82 @@ def brute_force_lhs(system, rule, binding, model_name):
         if _type_compatible(system, rule, binding, model_name, mu, sigma_l):
             out.append(LhsMatch(binding, tuple(sorted(mu.items(), key=lambda kv: elem_str(kv[0])))))
     return sorted(out, key=lambda m: m.sort_key())
+
+
+# ---------------------------------------------------------------------------
+# Rule application in the category of chains
+# ---------------------------------------------------------------------------
+
+
+def chain_rewrite(system, rule, model_name, lhs_match):
+    """One rule application as a construction on inclusion chains: the typing
+    chains of the target (over the binding's stack), of the FROM block and of
+    the interface; the chain pushout along the match; and the reduct of the
+    pushout chain along the final pullback complement.  Returns that reduct,
+    whose base is the rewritten model graph.  The chain constructors raise if
+    a level stops being a subgraph or a chain morphism stops being one."""
+    binding = lhs_match.binding
+    mu = lhs_match.mu_map()
+    target = system.find_model(model_name).graph
+
+    iface = rule.interface()
+    lhs_graph = rule.lhs.graph()
+    fresh_nodes, fresh_arrows = _rename_created(rule, mu, target)
+    i_graph = _instance_block_graph(rule, iface, fresh_nodes, fresh_arrows)
+    r_graph = _instance_block_graph(rule, rule.rhs, fresh_nodes, fresh_arrows)
+
+    mu_morph = GraphMorphism(
+        lhs_graph,
+        target,
+        {el.name: mu[el.name] for el in rule.lhs.nodes()},
+        {el.key: mu[el.key] for el in rule.lhs.arrows()},
+    )
+
+    # typing chains over the binding's stack
+    stack = list(binding.stack)
+    sigma_s = [domain_between(system, model_name, stack[a]) for a in range(1, len(stack))]
+    s_chain = inclusion_chain(target, [s.definedness().to_graph() for s in sigma_s])
+    sigma_l = rule.sigma(rule.lhs)
+    l_chain = inclusion_chain(lhs_graph, [s.definedness().to_graph() for s in sigma_l])
+    i_levels = [
+        _rename_level(rule, s.definedness(), fresh_nodes, fresh_arrows)
+        for s in rule.sigma(iface)
+    ]
+    i_chain = inclusion_chain(i_graph, i_levels)
+
+    lam = ChainMorphism(
+        l_chain,
+        i_chain,
+        tuple(range(rule.depth + 1)),
+        tuple(
+            inclusion(l_chain.levels[i], i_chain.levels[i])
+            for i in range(rule.depth + 1)
+        ),
+    )
+    mu_phis = []
+    for i in range(rule.depth + 1):
+        sub = SubgraphRef(lhs_graph, l_chain.levels[i].nodes, l_chain.levels[i].arrows)
+        mu_phis.append(mu_morph.restrict(sub).corestrict(s_chain.levels[binding.f[i]]))
+    mu_cm = ChainMorphism(l_chain, s_chain, binding.f, tuple(mu_phis))
+
+    po = chain_pushout(lam, mu_cm)
+    delta = po.glued.phis[0]
+
+    fpbc = final_pullback_complement(inclusion(r_graph, i_graph), delta)
+    # the rewritten chain: every level of the pushout chain cut down to T
+    return reduct(po.chain, tuple(range(len(stack))), fpbc.into_d)
+
+
+def _rename_level(rule, sub, fresh_nodes: dict, fresh_arrows: dict) -> Graph:
+    lhs_node_names = {e.name for e in rule.lhs.nodes()}
+    lhs_keys = set(rule.lhs.elements)
+    nodes = {n if n in lhs_node_names else fresh_nodes[n] for n in sub.nodes}
+    arrows = set()
+    for a in sub.arrows:
+        if a in lhs_keys:
+            arrows.add(a)
+        else:
+            src = a.src if a.src in lhs_node_names else fresh_nodes[a.src]
+            tgt = a.tgt if a.tgt in lhs_node_names else fresh_nodes[a.tgt]
+            arrows.add(Arrow(fresh_arrows[a], src, tgt))
+    return Graph(frozenset(nodes), frozenset(arrows))

@@ -261,3 +261,77 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "ok\n"
+
+
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_cli_non_utf8_input_is_one_line_exit_two(tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("hierarchy application h { model m : root { node Caf\xe9 } }\n".encode("latin-1"))
+    robolang = str(FIXTURES / "robolang.mlh")
+    rules = str(FIXTURES / "robolang.mcmt")
+    for argv in (
+        ["validate", str(bad)],
+        ["match", robolang, str(bad), "--rule", "Start", "--model", "robot_1_run_1"],
+        ["simulate", robolang, rules, "--layers", str(bad), "--model", "robot_1_run_1"],
+    ):
+        assert main(argv) == 2, argv
+        assert "not UTF-8" in _one_error_line(capsys)
+
+
+def test_cli_unknown_model_is_one_line_exit_two(capsys):
+    robolang = str(FIXTURES / "robolang.mlh")
+    rules = str(FIXTURES / "robolang.mcmt")
+    layers = str(FIXTURES / "robolang.layers")
+    with_rule = ["--rule", "Start", "--model", "nope"]
+    for argv in (
+        ["match", robolang, rules] + with_rule,
+        ["proliferate", robolang, rules] + with_rule,
+        ["apply", robolang, rules] + with_rule,
+        ["simulate", robolang, rules, "--layers", layers, "--model", "nope"],
+        ["check-chain", robolang, "--model", "nope"],
+        ["check-chain", robolang, rules] + with_rule,
+        ["export-dot", robolang, "--model", "nope"],
+    ):
+        assert main(argv) == 2, argv
+        assert _one_error_line(capsys) == f"error: {robolang}: unknown model nope"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        """
+hierarchy application h {
+  model a : root { node X : Y@b }
+  model b : a { node Y : X@a }
+}
+""",
+        """
+hierarchy application h {
+  model a : root {
+    node X : Y@b
+    node Z : W@b
+    arrow r : X -> Z : s@b
+  }
+  model b : a {
+    node Y : X@a
+    node W : Z@a
+    arrow s : Y -> W : r@a
+  }
+}
+""",
+    ],
+)
+def test_cli_validate_reports_typing_cycle(tmp_path, capsys, text):
+    cyclic = tmp_path / "cycle.mlh"
+    cyclic.write_text(text)
+    code = main(["validate", str(cyclic)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "[typing] a/X: type Y@b not strictly above in the typing chain" in out.splitlines()

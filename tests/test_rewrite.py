@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
+from mlmkit import rewrite
 from mlmkit.graph import Arrow
 from mlmkit.hierarchy import transitive_types, validate_hierarchy
+from mlmkit.ltl import formula_system, rewrite_with_rules
 from mlmkit.matching import bind_lhs, match_for_model
-from mlmkit.mlhio import save_hierarchy
+from mlmkit.mlhio import load_hierarchy, save_hierarchy
 from mlmkit.rewrite import (
     NotApplicable,
     apply_rule,
@@ -15,6 +19,9 @@ from mlmkit.rewrite import (
     two_level_matches,
 )
 from mlmkit.rules import parse_rules
+
+from oracles import chain_rewrite
+from test_acceptance import _random_term
 
 
 def first_match(system, rule, model, pick=None):
@@ -277,6 +284,117 @@ def test_proliferated_equals_direct_application(
                         continue
                     assert via_tlr is not None
                     assert save_hierarchy(direct.system) == save_hierarchy(via_tlr.system)
+
+
+CLOCK_WITHOUT_TIME = """
+hierarchy application clocked {
+  model sys_lang : root {
+    node Sys
+    attr Sys.time : Int
+  }
+  model sys_run : sys_lang {
+    node c : Sys@sys_lang
+  }
+}
+"""
+
+TICK = """
+rule Tick {
+  meta { mm1 { Sys$ } }
+  from { s : Sys @ mm1 }
+  to {
+    s : Sys @ mm1
+    s.time = s.time + 1
+  }
+}
+"""
+
+
+def test_increment_of_absent_attribute_rejected_by_both_applications():
+    """The FROM block does not ask for s.time, so the rule matches a clock
+    without one; both kinds of application then refuse the increment."""
+    system = load_hierarchy(CLOCK_WITHOUT_TIME)
+    (rule,) = parse_rules(TICK)
+    m = first_match(system, rule, "sys_run")
+    assert m is not None
+    with pytest.raises(NotApplicable, match=r"attribute s\.time absent in the match"):
+        apply_rule(system, rule, "sys_run", m)
+    (tlr,) = proliferate(system, rule, "sys_run")
+    with pytest.raises(NotApplicable, match=r"attribute s\.time absent in the match"):
+        apply_two_level(system, tlr, "sys_run", m.mu_map())
+
+
+def test_increment_applies_alike_both_ways(clock_system):
+    (rule,) = parse_rules(TICK)
+    m = first_match(clock_system, rule, "sys_run")
+    direct = apply_rule(clock_system, rule, "sys_run", m)
+    (tlr,) = proliferate(clock_system, rule, "sys_run")
+    via_tlr = apply_two_level(clock_system, tlr, "sys_run", m.mu_map())
+    assert direct.system.find_model("sys_run").attr_values["c"]["time"] == 1
+    assert save_hierarchy(direct.system) == save_hierarchy(via_tlr.system)
+
+
+# ---------------------------------------------------------------------------
+# The rewrite against its construction in the category of chains
+# ---------------------------------------------------------------------------
+
+
+def _shipped_applications(
+    robolang_system, fragment_system, pls_system, robolang_rules, pls_rules
+):
+    for system, rules, model in _shipped_pairs(
+        robolang_system, fragment_system, pls_system, robolang_rules, pls_rules
+    ):
+        for rule in rules.values():
+            if rule.params:
+                continue
+            _, bindings = match_for_model(system, rule, model)
+            for binding in bindings:
+                for m in bind_lhs(system, rule, binding, model):
+                    yield system, rule, model, m
+
+
+def _formula_applications(ltl_rules, monkeypatch):
+    """The applications that rule-driven rewriting makes on the first
+    criterion 8 formulas."""
+    seen = []
+    plain = rewrite.apply_rule
+
+    def recording(system, rule, model, m, postfilter=True):
+        seen.append((system, rule, model, m))
+        return plain(system, rule, model, m, postfilter)
+
+    monkeypatch.setattr(rewrite, "apply_rule", recording)
+    rng = random.Random(42)
+    for _ in range(6):
+        t = _random_term(rng, rng.randint(1, 4))
+        rewrite_with_rules(formula_system(t), "property", ltl_rules)
+    monkeypatch.undo()
+    return seen
+
+
+def test_rewrite_agrees_with_chain_construction(
+    robolang_system,
+    fragment_system,
+    pls_system,
+    robolang_rules,
+    pls_rules,
+    ltl_rules,
+    monkeypatch,
+):
+    """Every application is also built as a chain pushout and reduct: that
+    construction goes through, and its base is the rewritten model graph."""
+    shipped = list(
+        _shipped_applications(
+            robolang_system, fragment_system, pls_system, robolang_rules, pls_rules
+        )
+    )
+    formulas = _formula_applications(ltl_rules, monkeypatch)
+    assert len(shipped) > 10 and len(formulas) > 10
+    for system, rule, model, m in shipped + formulas:
+        t_chain = chain_rewrite(system, rule, model, m)
+        res = apply_rule(system, rule, model, m, postfilter=False)
+        assert t_chain.base == res.system.find_model(model).graph, rule.name
 
 
 # ---------------------------------------------------------------------------
