@@ -71,14 +71,6 @@ class GraphChain:
         return out
 
 
-def chain_from_graphs(levels: Sequence[Graph], taus: dict) -> GraphChain:
-    c = GraphChain(tuple(levels), dict(taus))
-    bad = c.validate()
-    if bad:
-        raise ValueError("; ".join(bad))
-    return c
-
-
 @dataclass
 class InclusionChain(GraphChain):
     """A chain of subgraphs of a common base (level 0); the typing morphisms

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .diagnose import binding_report, refactoring_report
-from .hierarchy import ROOT_MODEL, validate_hierarchy
+from .hierarchy import ROOT_MODEL, ValidationReport, check_typing_structure, validate_hierarchy
 from .matching import bind_lhs, match_for_model
 from .mlhio import LoadError, export_dot, load_hierarchy, save_hierarchy
 from .rewrite import (
@@ -47,6 +47,21 @@ def _load_system(path: str, model: str | None = None):
     return system
 
 
+class _IllTyped(Exception):
+    """Typing violations that leave nothing for a matching command to walk."""
+
+
+def _load_typed(path: str, model: str | None = None):
+    """Load a hierarchy for a command that walks its typings: a typing
+    violation, such as a typing cycle, ends the command the way validate
+    reports it."""
+    system = _load_system(path, model)
+    found = check_typing_structure(system)
+    if found:
+        raise _IllTyped(ValidationReport(sorted(set(found))).render())
+    return system
+
+
 def _load_rules(path: str):
     return {r.name: r for r in parse_rules(_read(path))}
 
@@ -72,7 +87,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_match(args) -> int:
-    system = _load_system(args.hierarchy, args.model)
+    system = _load_typed(args.hierarchy, args.model)
     rule = _pick_rule(_load_rules(args.rules), args.rule, args.param)
     found, bindings = match_for_model(system, rule, args.model)
     for k, b in enumerate(bindings, start=1):
@@ -87,7 +102,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_proliferate(args) -> int:
-    system = _load_system(args.hierarchy, args.model)
+    system = _load_typed(args.hierarchy, args.model)
     rule = _pick_rule(_load_rules(args.rules), args.rule, args.param)
     out = proliferate(system, rule, args.model)
     if args.outdir:
@@ -106,7 +121,7 @@ def cmd_proliferate(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    system = _load_system(args.hierarchy, args.model)
+    system = _load_typed(args.hierarchy, args.model)
     rule = _pick_rule(_load_rules(args.rules), args.rule, args.param)
     found, bindings = match_for_model(system, rule, args.model)
     matches = [
@@ -135,7 +150,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    system = _load_system(args.hierarchy, args.model)
+    system = _load_typed(args.hierarchy, args.model)
     rules = _load_rules(args.rules)
     config = parse_layers(_read(args.layers))
     if args.interactive:
@@ -162,7 +177,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check_chain(args) -> int:
-    system = _load_system(args.hierarchy, args.model)
+    system = _load_typed(args.hierarchy, args.model)
     if args.rule:
         if not args.rules or not args.model:
             sys.stderr.write("check-chain --rule needs <rules> and --model\n")
@@ -266,6 +281,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _IllTyped as e:
+        sys.stdout.write(str(e))
+        return 1
     except (LoadError, RuleError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

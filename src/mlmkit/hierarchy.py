@@ -316,14 +316,18 @@ def make_data_hierarchy() -> Hierarchy:
 class System:
     """One application hierarchy, optional supplementary hierarchies and the
     built-in data-type hierarchy.  Compared by identity; replace_model builds
-    a fresh value.  The cache memoizes derived typing data per value; only
-    the type references that never read the replaced model outlive a
-    replace_model."""
+    a fresh value.
+
+    The cache memoizes derived facts, each stored by remember with the models
+    it was derived from (None: the whole system).  replace_model(X) carries
+    over every fact none of whose models reach X through their typings, since
+    such a fact never read X.  Clearing the cache drops the facts and what
+    they read alike."""
 
     application: Hierarchy
     supplementary: dict = field(default_factory=dict)  # name -> Hierarchy
     data: Hierarchy = field(default_factory=make_data_hierarchy)
-    cache: dict = field(default_factory=dict, repr=False)
+    cache: dict = field(default_factory=dict, repr=False)  # key -> (value, about)
 
     def hierarchies(self) -> Iterator[Hierarchy]:
         yield self.application
@@ -340,21 +344,22 @@ class System:
     def find_model(self, model_name: str) -> Model:
         return self.hierarchy_of(model_name).models[model_name]
 
+    def remember(self, key, value, about: Optional[tuple]):
+        """Memoize a fact derived from the models named in about (None: from
+        the whole system); returns the value."""
+        self.cache[key] = (value, about)
+        return value
+
     def replace_model(self, model: Model) -> "System":
-        """New system value with one model replaced (same tree position)."""
+        """New system value with one model replaced (same tree position),
+        keeping every fact that never read the replaced model."""
         h = self.hierarchy_of(model.name)
         new_models = dict(h.models)
         new_models[model.name] = model
         new_h = Hierarchy(h.name, h.dimension, new_models, dict(h.parents))
-        # every model but the replaced one resolves as before, so a type
-        # reference set computed without reading that model is still exact
-        kept = {
-            key: refs
-            for key, refs in self.cache.items()
-            if key[0] == "type-refs"
-            and key[1] != model.name
-            and all(m != model.name for m, _ in refs)
-        }
+        abouts = {about for _, about in self.cache.values() if about is not None}
+        intact = {a for a in abouts if all(model.name not in reach(self, m) for m in a)}
+        kept = {k: fact for k, fact in self.cache.items() if fact[1] in intact}
         if h is self.application:
             return System(new_h, self.supplementary, self.data, kept)
         if h is self.data:
@@ -362,6 +367,27 @@ class System:
         supp = dict(self.supplementary)
         supp[h.name] = new_h
         return System(self.application, supp, self.data, kept)
+
+
+def reach(system: System, model_name: str) -> frozenset:
+    """The model and every model its typings reach, transitively (names that
+    resolve to no model included, since a typing may dangle)."""
+    ck = ("reach", model_name)
+    hit = system.cache.get(ck)
+    if hit is not None:
+        return hit[0]
+    seen, todo = {model_name}, [model_name]
+    while todo:
+        try:
+            model = system.find_model(todo.pop())
+        except KeyError:
+            continue
+        for t in model.typings.values():
+            for _, ref in t.all_refs():
+                if ref.model not in seen:
+                    seen.add(ref.model)
+                    todo.append(ref.model)
+    return system.remember(ck, frozenset(seen), (model_name,))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +420,7 @@ def type_closure(system: System, model_name: str, elem) -> list[TypeEntry]:
     ck = ("closure", model_name, elem)
     hit = system.cache.get(ck)
     if hit is not None:
-        return hit
+        return hit[0]
     seen: set[tuple] = set()
     out: list[TypeEntry] = []
     # each entry carries the references on its path, so that a typing cycle
@@ -426,18 +452,19 @@ def type_closure(system: System, model_name: str, elem) -> list[TypeEntry]:
                 (TypeEntry(ref.model, ref.elem, entry.distance + d, entry.steps + 1), path)
             )
     out.sort(key=lambda t: (t.steps, t.distance, t.model, elem_str(t.elem)))
-    system.cache[ck] = out
-    return out
+    return system.remember(ck, out, (model_name,))
 
 
-def type_refs(system: System, model_name: str, elem) -> frozenset:
+def type_refs(system: System, model_name: str, elem, _path: tuple = ()) -> frozenset:
     """The (model, element) pairs of the element's type closure, except the
     element itself as its own zero-step entry: its inheritance ancestors and,
-    outside the root, each type with that type's references in turn."""
+    outside the root, each type with that type's references in turn.  A type
+    already on the path (a typing cycle, which check_typing_structure
+    reports) is not walked again."""
     ck = ("type-refs", model_name, elem)
     hit = system.cache.get(ck)
     if hit is not None:
-        return hit
+        return hit[0]
     model = system.find_model(model_name)
     same = {elem}
     frontier = [elem]
@@ -450,14 +477,15 @@ def type_refs(system: System, model_name: str, elem) -> frozenset:
                     frontier.append(parent)
     refs = {(model_name, x) for x in same if x != elem}
     if model_name != ROOT_MODEL:  # the root is self-defining
+        path = _path + ((model_name, elem),)
         for x in same:
             typing = model.typings.get(x)
             if typing:
                 for _, ref in typing.all_refs():
                     refs.add((ref.model, ref.elem))
-                    refs |= type_refs(system, ref.model, ref.elem)
-    out = system.cache[ck] = frozenset(refs)
-    return out
+                    if (ref.model, ref.elem) not in path:
+                        refs |= type_refs(system, ref.model, ref.elem, path)
+    return system.remember(ck, frozenset(refs), (model_name,))
 
 
 def has_type(system: System, model_name: str, elem, ref: TypeRef) -> bool:
@@ -547,7 +575,7 @@ def transitive_types(system: System, model_name: str, elem) -> dict[str, object]
     ck = ("transitive", model_name, elem)
     hit = system.cache.get(ck)
     if hit is not None:
-        return hit
+        return hit[0]
     out: dict[str, object] = {}
 
     def walk(m: str, e):
@@ -563,8 +591,7 @@ def transitive_types(system: System, model_name: str, elem) -> dict[str, object]
                 walk(ref.model, ref.elem)
 
     walk(model_name, elem)
-    system.cache[ck] = out
-    return out
+    return system.remember(ck, out, (model_name,))
 
 
 def domain_between(system: System, j_model: str, i_model: str) -> GraphMorphism:
@@ -574,7 +601,7 @@ def domain_between(system: System, j_model: str, i_model: str) -> GraphMorphism:
     ck = ("dom", j_model, i_model)
     hit = system.cache.get(ck)
     if hit is not None:
-        return hit
+        return hit[0]
     mj = system.find_model(j_model)
     mi = system.find_model(i_model)
     nodes, arrows = {}, {}
@@ -587,8 +614,7 @@ def domain_between(system: System, j_model: str, i_model: str) -> GraphMorphism:
         if t is not None:
             arrows[a] = t
     out = GraphMorphism(mj.graph, mi.graph, nodes, arrows)
-    system.cache[ck] = out
-    return out
+    return system.remember(ck, out, (j_model, i_model))
 
 
 def recover_direct_types(system: System, h: Hierarchy, model_name: str) -> dict:
@@ -995,7 +1021,7 @@ def validate_hierarchy(system: System, strict_multiplicity: bool = False) -> Val
     ck = ("validate", strict_multiplicity)
     hit = system.cache.get(ck)
     if hit is not None:
-        return hit
+        return hit[0]
     vs: list[Violation] = []
     vs += check_typing_structure(system)
     vs += check_non_dangling(system)
@@ -1004,9 +1030,7 @@ def validate_hierarchy(system: System, strict_multiplicity: bool = False) -> Val
     vs += check_inheritance(system)
     vs += check_multiplicity(system, strict=strict_multiplicity)
     vs += check_dimensions(system)
-    report = ValidationReport(sorted(set(vs)))
-    system.cache[ck] = report
-    return report
+    return system.remember(ck, ValidationReport(sorted(set(vs))), None)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ boolean constants and finally strips the next operators.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .graph import Arrow, enumerate_homomorphisms, graph
 from .hierarchy import (
@@ -163,25 +162,6 @@ def render_term(t) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FormulaModel:
-    """A formula model inside a system, addressed by model name."""
-
-    system: System
-    model: str
-
-    def term(self):
-        return to_term(self.system, self.model)
-
-
-def _ltl_model_name(system: System) -> str:
-    for name, h in system.supplementary.items():
-        for mname in h.model_names():
-            if mname != ROOT_MODEL and "Formula" in h.models[mname].graph.nodes:
-                return mname
-    raise KeyError("no logic hierarchy in the system")
-
-
 def _supp_type(system: System, model: Model, key):
     t = model.typings.get(key)
     if not t:
@@ -317,10 +297,6 @@ def to_term(system: System, model_name: str):
 # ---------------------------------------------------------------------------
 # The rewriting operations (graph level)
 # ---------------------------------------------------------------------------
-
-
-def _rebuild(system: System, old: Model, new_model: Model) -> System:
-    return system.replace_model(new_model)
 
 
 class _Builder:
@@ -753,27 +729,13 @@ def _unguarded_parents(system: System, model_name: str) -> set:
     }
 
 
-_RULE_TRIGGER = {
-    "UnrollU": "U",
-    "UnrollR": "R",
-    "UnrollF": "F",
-    "UnrollG": "G",
-    "DeleteNext": "X",
-    "FoldNot": "Not",
-    "FoldAnd": "And",
-    "FoldOr": "Or",
-    "FoldImpl": "Implication",
-    "FoldUntil": "U",
-    "FoldRelease": "R",
-    "FoldEventually": "F",
-    "FoldGlobally": "G",
-}
-
-
-def _trigger_kind(rule_name: str):
-    for prefix, kind in _RULE_TRIGGER.items():
-        if rule_name.startswith(prefix):
-            return kind
+def _rewritten_kind(rule) -> str | None:
+    """The logic type the rule rewrites: the mm1 type of the FROM element
+    that the arrow leaving the parent position p points to."""
+    for el in rule.lhs.arrows():
+        if el.src == "p":
+            node = rule.lhs.by_name(el.tgt)
+            return node.type.name if node is not None and node.type else None
     return None
 
 
@@ -801,23 +763,16 @@ def rewrite_with_rules(system: System, model_name: str, rules: dict, cap: int = 
     """Apply the shipped formula rules in phases: unrolling on the next-free
     region (outermost positions first, so next-state copies stay raw), boolean
     and temporal-constant folding, next removal, folding again.  Equivalent on
-    unfolded terms to unroll followed by simplify_and_step.
+    unfolded terms to unroll followed by simplify_and_step.  A rule is tried
+    only while the logic type it rewrites occurs in the model.
 
-    The meta bindings only touch the stack above the formula model, which the
-    rewrites never change.  They come from matching.meta_bindings, keyed by
-    the fingerprint of that stack's content (taken once per call) and by the
-    rule's meta chain, so formula systems with equal stacks share them across
-    calls; within a call they are looked up once per rule."""
-    from .matching import bind_lhs, meta_bindings, stack_fingerprint
+    The meta bindings come from matching.meta_bindings.  They read only the
+    stack above the formula model, which the rewrites never change, so each
+    new system value carries them over and the meta chains are matched once
+    per call.  More than cap applications raise a RuntimeError naming the
+    phase, the last rule applied and the formula reached."""
+    from .matching import bind_lhs, meta_bindings
     from .rewrite import NotApplicable, apply_rule
-
-    stack_key = stack_fingerprint(system, model_name)
-    binding_cache: dict[str, list] = {}
-
-    def bindings_for(rule) -> list:
-        if rule.name not in binding_cache:
-            binding_cache[rule.name] = meta_bindings(system, rule, model_name, stack_key)
-        return binding_cache[rule.name]
 
     def present_kinds() -> set:
         model = system.find_model(model_name)
@@ -827,9 +782,20 @@ def rewrite_with_rules(system: System, model_name: str, rules: dict, cap: int = 
         }
 
     spent = 0
+
+    def applied(phase: str, name: str) -> None:
+        nonlocal spent
+        spent += 1
+        if spent > cap:
+            raise RuntimeError(
+                f"formula rewriting did not converge within {cap} rule applications "
+                f"(phase {phase}, last rule {name}): {render_term(to_term(system, model_name))}"
+            )
+
     phases = (("Unroll", True), ("Fold", False), ("DeleteNext", False), ("Fold", False))
     for phase, guarded in phases:
         names = [n for n in sorted(rules) if n.startswith(phase)]
+        kinds = {name: _rewritten_kind(rules[name]) for name in names}
         if guarded:
             # outermost-first: always rewrite the shallowest now-position
             while True:
@@ -839,9 +805,9 @@ def rewrite_with_rules(system: System, model_name: str, rules: dict, cap: int = 
                 best = None
                 for name in names:
                     rule = rules[name]
-                    if _trigger_kind(name) not in kinds_here:
+                    if kinds[name] not in kinds_here:
                         continue
-                    for b in bindings_for(rule):
+                    for b in meta_bindings(system, rule, model_name):
                         for m in bind_lhs(system, rule, b, model_name):
                             p = m.mu_map().get("p")
                             if p not in allowed or p not in depths:
@@ -853,9 +819,7 @@ def rewrite_with_rules(system: System, model_name: str, rules: dict, cap: int = 
                     break
                 _, rule, m = best
                 system = apply_rule(system, rule, model_name, m, postfilter=False).system
-                spent += 1
-                if spent > cap:
-                    raise RuntimeError("formula rewriting did not converge")
+                applied(phase, rule.name)
         else:
             progress = True
             while progress:
@@ -863,11 +827,11 @@ def rewrite_with_rules(system: System, model_name: str, rules: dict, cap: int = 
                 kinds_here = present_kinds()
                 for name in names:
                     rule = rules[name]
-                    if _trigger_kind(name) not in kinds_here:
+                    if kinds[name] not in kinds_here:
                         continue
                     while True:
                         m = None
-                        for b in bindings_for(rule):
+                        for b in meta_bindings(system, rule, model_name):
                             hits = bind_lhs(system, rule, b, model_name)
                             if hits:
                                 m = hits[0]
@@ -881,9 +845,7 @@ def rewrite_with_rules(system: System, model_name: str, rules: dict, cap: int = 
                         except NotApplicable:
                             break
                         progress = True
-                        spent += 1
-                        if spent > cap:
-                            raise RuntimeError("formula rewriting did not converge")
+                        applied(phase, name)
                         kinds_here = present_kinds()
     return system
 

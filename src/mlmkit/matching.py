@@ -124,14 +124,12 @@ class _Target:
 
 
 def _target(system: System, model_name: str) -> _Target:
-    """The prepared target, memoized per system value like the typing data it
-    is derived from; a model swapped into the hierarchy is prepared afresh."""
-    model = system.find_model(model_name)
+    """The prepared target, memoized like the typing data it is derived from."""
     ck = ("match-target", model_name)
     hit = system.cache.get(ck)
-    if hit is None or hit.model is not model:
-        hit = system.cache[ck] = _Target(model)
-    return hit
+    if hit is not None:
+        return hit[0]
+    return system.remember(ck, _Target(system.find_model(model_name)), (model_name,))
 
 
 def _resolve_type(rule: McmtRule, el: PatternElement, partial_f: dict, partial_maps: dict):
@@ -305,77 +303,23 @@ def match(
     return found, results
 
 
-def match_for_model(system: System, rule: McmtRule, model_name: str) -> tuple[bool, list[Binding]]:
-    return match(system, rule, build_stack(system, model_name))
-
-
-# ---------------------------------------------------------------------------
-# Meta bindings reused by content
-# ---------------------------------------------------------------------------
-
-
-def _model_content(model: Model) -> tuple:
-    def items(d: dict) -> list:
-        return sorted((repr(k), repr(v)) for k, v in d.items())
-
-    return (
-        model.name,
-        sorted(model.graph.nodes),
-        sorted(model.graph.arrows),
-        sorted(
-            (repr(k), repr((t.own, sorted(t.supplementary.items()), t.data)))
-            for k, t in model.typings.items()
-        ),
-        items(model.potencies),
-        items(model.multiplicities),
-        sorted(model.abstract),
-        sorted(model.inherit_arrows),
-        sorted((repr(k), items(v)) for k, v in model.attr_decls.items()),
-        sorted((repr(k), items(v)) for k, v in model.attr_values.items()),
-    )
-
-
-def stack_fingerprint(system: System, model_name: str) -> str:
-    """Digest of what a meta-chain match for the model can read: the stack's
-    model names in order, and the content of every stack model and of every
-    model their typings reach.  Names or identities alone would not do, since
-    hierarchies stay mutable after a system is built."""
+def meta_bindings(system: System, rule: McmtRule, model_name: str) -> tuple:
+    """Every binding of the rule's meta chain into the stack above the model,
+    memoized per target model and meta chain.  The match reads only the
+    stack's models and what their typings reach, so the bindings outlive
+    every replace_model of a model outside that reach, such as the target
+    model itself or a sibling below the stack."""
+    ck = ("meta", model_name, rule.meta_key)
+    hit = system.cache.get(ck)
+    if hit is not None:
+        return hit[0]
     stack = build_stack(system, model_name)
-    contents: dict = {}
-    todo = list(stack)
-    while todo:
-        name = todo.pop()
-        if name in contents:
-            continue
-        try:
-            model = system.find_model(name)
-        except KeyError:
-            contents[name] = None
-            continue
-        contents[name] = _model_content(model)
-        for t in model.typings.values():
-            todo.extend(ref.model for _, ref in t.all_refs())
-    raw = repr((stack, sorted(contents.items()))).encode()
-    return hashlib.sha256(raw).hexdigest()
+    return system.remember(ck, tuple(match(system, rule, stack)[1]), tuple(stack))
 
 
-_META_BINDINGS: dict = {}
-_META_BINDINGS_LIMIT = 64
-
-
-def meta_bindings(system: System, rule: McmtRule, model_name: str, stack_key: str) -> list[Binding]:
-    """The bindings of match_for_model(system, rule, model_name), reused
-    across calls.  stack_key is stack_fingerprint(system, model_name); with
-    the rule's meta chain it covers every input of the meta match, so equal
-    keys give equal bindings whichever system they come from.  The oldest
-    entry gives way once the limit is reached."""
-    key = (stack_key, repr(rule.meta))
-    hit = _META_BINDINGS.get(key)
-    if hit is None:
-        if len(_META_BINDINGS) >= _META_BINDINGS_LIMIT:
-            del _META_BINDINGS[next(iter(_META_BINDINGS))]
-        hit = _META_BINDINGS[key] = tuple(match_for_model(system, rule, model_name)[1])
-    return list(hit)
+def match_for_model(system: System, rule: McmtRule, model_name: str) -> tuple[bool, list[Binding]]:
+    bindings = meta_bindings(system, rule, model_name)
+    return bool(bindings), list(bindings)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Union
 
 from .graph import Arrow, Graph, GraphMorphism, graph
@@ -146,6 +147,12 @@ class McmtRule:
     def depth(self) -> int:
         """Number of meta levels (the root above them is implicit level 0)."""
         return len(self.meta)
+
+    @cached_property
+    def meta_key(self) -> str:
+        """The meta chain as text, taken once per rule: rules with equal keys
+        have equal meta matches."""
+        return repr(self.meta)
 
     def meta_level(self, k: int) -> PatternBlock:
         """Meta pattern at level k, 1-based like the mmK syntax."""

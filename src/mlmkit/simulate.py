@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .hierarchy import System
-from .matching import bind_lhs, match_for_model
+from .matching import bind_lhs, meta_bindings
 from .mlhio import save_hierarchy
 from .rewrite import NotApplicable, apply_rule
 from .rules import McmtRule, RuleError, substitute_parameters
@@ -210,8 +210,7 @@ def _candidates(system: System, entry_rules, model: str):
     for name, rule in entry_rules:
         if rule.params:
             continue
-        _, bindings = match_for_model(system, rule, model)
-        for b in bindings:
+        for b in meta_bindings(system, rule, model):
             for m in bind_lhs(system, rule, b, model):
                 out.append((name, (rule, m), m.digest()))
     return out

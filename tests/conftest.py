@@ -7,6 +7,22 @@ from mlmkit.rules import parse_rules
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
+# a typing cycle between two models, with an arrow pair typed across it
+CYCLE_WITH_ARROWS = """
+hierarchy application h {
+  model a : root {
+    node X : Y@b
+    node P
+    arrow e : X -> P
+  }
+  model b : a {
+    node Y : X@a
+    node Q : P@a
+    arrow f : Y -> Q : e@a
+  }
+}
+"""
+
 
 def load_fixture(name: str):
     return load_hierarchy((FIXTURES / name).read_text(encoding="utf-8"))

@@ -508,3 +508,50 @@ def _rename_level(rule, sub, fresh_nodes: dict, fresh_arrows: dict) -> Graph:
             tgt = a.tgt if a.tgt in lhs_node_names else fresh_nodes[a.tgt]
             arrows.add(Arrow(fresh_arrows[a], src, tgt))
     return Graph(frozenset(nodes), frozenset(arrows))
+
+
+# ---------------------------------------------------------------------------
+# Memoized facts derived afresh
+# ---------------------------------------------------------------------------
+
+
+def stale_facts(system, rules=()) -> list:
+    """The cache keys of a system whose memoized facts differ from the same
+    facts derived on a cache-free copy of it.  Prepared match targets compare
+    by graph, pools and by-type index; meta bindings are derived again with
+    the rule among `rules` whose meta chain they were matched for."""
+    from mlmkit.hierarchy import (
+        System,
+        domain_between,
+        reach,
+        transitive_types,
+        type_closure,
+        type_refs,
+        validate_hierarchy,
+    )
+    from mlmkit.matching import _target, meta_bindings
+
+    fresh = System(system.application, system.supplementary, system.data)
+    by_meta = {rule.meta_key: rule for rule in rules}
+    derive = {
+        "closure": type_closure,
+        "type-refs": type_refs,
+        "transitive": transitive_types,
+        "dom": domain_between,
+        "reach": reach,
+        "validate": validate_hierarchy,
+        "meta": lambda s, model, meta_key: meta_bindings(s, by_meta[meta_key], model),
+    }
+    out = []
+    for key, (value, _) in list(system.cache.items()):
+        kind, *args = key
+        if kind == "match-target":
+            want = _target(fresh, *args)
+            same = (value.graph, value.pools) == (want.graph, want.pools) and all(
+                value.by_type(system, k) == want.by_type(fresh, k) for k in ("node", "arrow")
+            )
+        else:
+            same = value == derive[kind](fresh, *args)
+        if not same:
+            out.append(key)
+    return out

@@ -1,9 +1,13 @@
+import dataclasses
+import random
+
 import pytest
 
 from mlmkit.graph import Arrow, graph
 from mlmkit.hierarchy import (
     APPLICATION,
     ROOT_MODEL,
+    ElementTyping,
     Hierarchy,
     Model,
     Multiplicity,
@@ -17,11 +21,13 @@ from mlmkit.hierarchy import (
     check_potency,
     check_uniqueness,
     collapse_attributes,
+    domain_between,
     domain_of_definition,
     effective_potency,
     expand_attributes,
     parse_multiplicity,
     parse_potency,
+    reach,
     recover_direct_types,
     transitive_types,
     type_closure,
@@ -29,9 +35,14 @@ from mlmkit.hierarchy import (
     validate_hierarchy,
 )
 from mlmkit.graph import compose_partial, partial_leq
-from mlmkit.ltl import formula_system, parse_formula
+from mlmkit.ltl import formula_system, parse_formula, rewrite_with_rules
+from mlmkit.matching import bind_lhs, meta_bindings
+from mlmkit.mlhio import load_hierarchy
+from mlmkit.simulate import SeededChoice, Trace, parse_layers, step
 
-from conftest import load_fixture
+from conftest import CYCLE_WITH_ARROWS, FIXTURES, load_fixture
+from oracles import stale_facts
+from test_acceptance import _random_term
 
 
 def intro_system():
@@ -427,19 +438,77 @@ def test_type_refs_are_the_type_closure_without_the_element():
             assert refs == want, (name, x)
 
 
-def test_type_refs_carried_by_replace_model_stay_exact():
-    system = intro_system()
-    _all_type_refs(system)
+FACT_KINDS = {"closure", "type-refs", "transitive", "dom", "reach", "validate", "meta", "match-target"}
+
+
+def _derive_every_fact(system, rules, model_name):
+    validate_hierarchy(system)
+    validate_hierarchy(system, strict_multiplicity=True)
+    for name, x in _all_type_refs(system):
+        type_closure(system, name, x)
+        transitive_types(system, name, x)
+        reach(system, name)
+    names = sorted({n for h in system.hierarchies() for n in h.models})
+    for j in names:
+        for i in names:
+            domain_between(system, j, i)
+    for rule in rules:
+        if not rule.params:
+            for b in meta_bindings(system, rule, model_name):
+                bind_lhs(system, rule, b, model_name)
+
+
+def test_facts_carried_by_replace_model_stay_exact(robolang_system, robolang_rules):
+    system = robolang_system
+    _derive_every_fact(system, robolang_rules.values(), "robot_1_run_1")
+    assert {key[0] for key in system.cache} == FACT_KINDS
     # retype one language element: everything typed through it must change
     legolang = system.find_model("legolang")
-    changed = Model("legolang", legolang.graph)
-    changed.typing("Initial").own = TypeRef("robolang", "Task")
-    changed.typing("GoForward").own = TypeRef("robolang", "Trn")
-    new = system.replace_model(changed)
-    assert new.cache
-    for (_, name, _), refs in new.cache.items():
-        assert name != "legolang" and all(m != "legolang" for m, _ in refs)
-    fresh = System(new.application, new.supplementary, new.data)
-    assert _all_type_refs(new) == _all_type_refs(fresh)
-    assert ("robolang", "Trn") in type_refs(new, "robot_1", "GF")
-    assert ("robolang", "Trn") not in type_refs(system, "robot_1", "GF")
+    typings = dict(legolang.typings)
+    typings["GoForward"] = ElementTyping(TypeRef("robolang", "Input"))
+    new = system.replace_model(dataclasses.replace(legolang, typings=typings))
+    for key, (_, about) in new.cache.items():
+        assert about is not None, key
+        assert not {"legolang", "robot_1", "robot_1_run_1"} & set(about), key
+    assert {key[0] for key in new.cache} == FACT_KINDS - {"validate", "meta"}
+    assert ("type-refs", "robolang", "Task") in new.cache
+    assert stale_facts(new, robolang_rules.values()) == []
+    assert ("robolang", "Input") in type_refs(new, "robot_1", "GF")
+    assert ("robolang", "Input") not in type_refs(system, "robot_1", "GF")
+
+
+def test_every_replace_model_keeps_only_exact_facts(monkeypatch, robolang_rules, ltl_rules):
+    """Two criterion 7 simulations and the first criterion 8 formulas: each
+    fact carried into a new system value equals the fact derived afresh."""
+    config = parse_layers((FIXTURES / "robolang.layers").read_text(encoding="utf-8"))
+    rules = [rule for layer in config.resolve(robolang_rules) for _, rule in layer]
+    rules += ltl_rules.values()
+    replace = System.replace_model
+    carried = set()
+
+    def checked(self, model):
+        new = replace(self, model)
+        assert stale_facts(new, rules) == [], model.name
+        carried.update((model.name, key[0]) for key in new.cache)
+        return new
+
+    monkeypatch.setattr(System, "replace_model", checked)
+    for seed in (0, 1):
+        system, chooser, trace = load_fixture("robolang.mlh"), SeededChoice(seed), Trace(seed)
+        for k in range(1, 11):
+            system, _ = step(system, "robot_1_run_1", robolang_rules, config, chooser, trace, k)
+    rng = random.Random(42)
+    for _ in range(4):
+        term = _random_term(rng, rng.randint(1, 4))
+        rewrite_with_rules(formula_system(term), "property", ltl_rules)
+    kinds = ("meta", "match-target", "type-refs", "closure")
+    assert {("robot_1_run_1", kind) for kind in kinds} <= carried
+    assert {("property", "meta"), ("property", "match-target")} <= carried
+
+
+def test_typing_walks_end_on_a_typing_cycle():
+    system = load_hierarchy(CYCLE_WITH_ARROWS)
+    assert reach(system, "b") == reach(system, "a") == {"a", "b", ROOT_MODEL}
+    assert ("b", "Y") in type_refs(system, "a", "X")
+    assert ("a", "X") in type_refs(system, "b", "Y")
+    assert ("a", Arrow("e", "X", "P")) in type_refs(system, "b", Arrow("f", "Y", "Q"))

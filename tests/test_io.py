@@ -7,7 +7,7 @@ from mlmkit.cli import main
 from mlmkit.hierarchy import ROOT_MODEL, validate_hierarchy
 from mlmkit.mlhio import LoadError, export_dot, load_hierarchy, save_hierarchy
 
-from conftest import FIXTURES, load_fixture
+from conftest import CYCLE_WITH_ARROWS, FIXTURES, load_fixture
 
 ALL_FIXTURES = [
     "robolang.mlh",
@@ -335,3 +335,27 @@ def test_cli_validate_reports_typing_cycle(tmp_path, capsys, text):
     out = capsys.readouterr().out
     assert code == 1
     assert "[typing] a/X: type Y@b not strictly above in the typing chain" in out.splitlines()
+
+
+def test_commands_that_walk_typings_report_a_typing_cycle(tmp_path, capsys):
+    cyclic = tmp_path / "cycle.mlh"
+    cyclic.write_text(CYCLE_WITH_ARROWS)
+    rules = tmp_path / "r.mcmt"
+    rules.write_text("rule R { meta { mm1 { X } } from { x : X@mm1 } to { x : X@mm1 } }")
+    layers = tmp_path / "r.layers"
+    layers.write_text("layer exhaust { R }\n")
+    h, r = str(cyclic), str(rules)
+    with_rule = ["--rule", "R", "--model", "b"]
+    for argv in (
+        ["match", h, r] + with_rule,
+        ["check-chain", h],
+        ["check-chain", h, "--model", "b"],
+        ["check-chain", h, r] + with_rule,
+        ["proliferate", h, r] + with_rule,
+        ["apply", h, r] + with_rule,
+        ["simulate", h, r, "--layers", str(layers), "--model", "b"],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "[typing] a/X: type Y@b not strictly above in the typing chain\n"

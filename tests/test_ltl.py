@@ -1,10 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 from mlmkit import matching
 from mlmkit.graph import graph
-from mlmkit.hierarchy import validate_hierarchy
+from mlmkit.hierarchy import System, validate_hierarchy
 from mlmkit.ltl import (
     formula_system,
     fragment_holds,
@@ -164,46 +165,49 @@ def test_rule_driven_rewriting_matches_library_sample(ltl_rules):
         assert validate_hierarchy(via_rules).ok
 
 
-def test_reused_meta_bindings_are_sound(ltl_rules, monkeypatch):
-    first = formula_system(parse_formula("a U b"))
-    rewrite_with_rules(first, "property", ltl_rules)
-    # a separately built system with an equal stack reuses every binding
-    second = formula_system(parse_formula("G(p -> X q)"))
-    key = matching.stack_fingerprint(second, "property")
-    assert key == matching.stack_fingerprint(first, "property")
-    fresh = matching.match_for_model
+def test_meta_bindings_carried_through_rewriting_equal_fresh_ones(ltl_rules, monkeypatch):
+    fresh_match = matching.match
     calls = []
     monkeypatch.setattr(
-        matching, "match_for_model", lambda *args: calls.append(args) or fresh(*args)
+        matching, "match", lambda *args, **kw: calls.append(args) or fresh_match(*args, **kw)
     )
+    system = formula_system(parse_formula("G(p -> X(q U r))"))
+    out = rewrite_with_rules(system, "property", ltl_rules)
+    assert out is not system
+    assert len(calls) == 1  # the 100 rules share one meta chain, matched once for the run
+    cold = System(out.application, out.supplementary, out.data)
     for rule in ltl_rules.values():
-        reused = matching.meta_bindings(second, rule, "property", key)
-        assert reused == fresh(second, rule, "property")[1], rule.name
-    out = rewrite_with_rules(second, "property", ltl_rules)
-    assert calls == []
-    assert to_term(out, "property") == to_term(
-        simplify_and_step(unroll(second, "property"), "property"), "property"
-    )
+        carried = matching.meta_bindings(out, rule, "property")
+        assert carried == tuple(match_for_model(cold, rule, "property")[1]), rule.name
+    assert len(calls) == 2
 
-    # hierarchies stay mutable after a system is built: a changed logic model
-    # must be matched afresh, whether the change matters to the bindings or not
-    grown = formula_system(parse_formula("a U b"))
-    ltl = grown.supplementary["ltl"].models["ltl"]
-    ltl.graph = graph(ltl.graph.nodes | {"Extra"}, ltl.graph.arrows)
-    assert matching.stack_fingerprint(grown, "property") != key
-    shrunk = formula_system(parse_formula("a U b"))
-    ltl = shrunk.supplementary["ltl"].models["ltl"]
-    ltl.graph = graph(
-        ltl.graph.nodes - {"R"}, (a for a in ltl.graph.arrows if "R" not in (a.src, a.tgt))
+    # a system whose logic model was replaced matches afresh, whether the
+    # change matters to the bindings or not
+    ltl = out.find_model("ltl")
+    grown = dataclasses.replace(ltl, graph=graph(ltl.graph.nodes | {"Extra"}, ltl.graph.arrows))
+    shrunk = dataclasses.replace(
+        ltl,
+        graph=graph(
+            ltl.graph.nodes - {"R"}, (a for a in ltl.graph.arrows if "R" not in (a.src, a.tgt))
+        ),
+        inherit_arrows=frozenset(a for a in ltl.inherit_arrows if a.src != "R"),
     )
-    ltl.inherit_arrows = frozenset(a for a in ltl.inherit_arrows if a.src != "R")
-    for system in (grown, shrunk):
-        calls.clear()
-        changed = matching.stack_fingerprint(system, "property")
-        for rule in ltl_rules.values():
-            got = matching.meta_bindings(system, rule, "property", changed)
-            assert got == fresh(system, rule, "property")[1], rule.name
-        assert len(calls) == 1  # one fresh match, shared by the equal meta chains
     unroll_u = ltl_rules["UnrollU_rootf"]
-    assert fresh(grown, unroll_u, "property")[1] != []
-    assert fresh(shrunk, unroll_u, "property")[1] == []
+    for changed, found in ((grown, True), (shrunk, False)):
+        system = out.replace_model(changed)
+        assert not any(key[0] == "meta" for key in system.cache)
+        calls.clear()
+        got = matching.meta_bindings(system, unroll_u, "property")
+        assert len(calls) == 1 and bool(got) is found
+        cold = System(system.application, system.supplementary, system.data)
+        assert got == tuple(match_for_model(cold, unroll_u, "property")[1])
+
+
+def test_rewriting_that_does_not_converge_names_where_it_stopped(ltl_rules):
+    system = formula_system(parse_formula("G a & F b"))
+    with pytest.raises(RuntimeError) as err:
+        rewrite_with_rules(system, "property", ltl_rules, cap=1)
+    assert str(err.value) == (
+        "formula rewriting did not converge within 1 rule applications "
+        "(phase Unroll, last rule UnrollG_left): ((a & X(G(a))) & (b | X(F(b))))"
+    )
