@@ -322,7 +322,9 @@ class System:
     it was derived from (None: the whole system).  replace_model(X) carries
     over every fact none of whose models reach X through their typings, since
     such a fact never read X.  Clearing the cache drops the facts and what
-    they read alike."""
+    they read alike.  Validation is assembled from such facts, one per model
+    and condition check, so after a rewrite only the parts that read the
+    rewritten model are computed again."""
 
     application: Hierarchy
     supplementary: dict = field(default_factory=dict)  # name -> Hierarchy
@@ -497,26 +499,32 @@ def effective_potency(system: System, model_name: str, elem, _path=frozenset()) 
     """Declared potency, or the default: 1-1 range with depth one less than the
     type's depth (unbounded stays unbounded).  Root elements default to 0-*-*.
     A type already on the path (a typing cycle, which check_typing_structure
-    reports) adds no depth."""
+    reports) adds no depth.  Only walks from an empty path are memoized: on a
+    typing cycle, a walk that starts inside it depends on its path."""
+    ck = ("effective-potency", model_name, elem)
+    hit = None if _path else system.cache.get(ck)
+    if hit is not None:
+        return hit[0]
     model = system.find_model(model_name)
     declared = model.potencies.get(elem)
     if declared is not None:
-        return declared
-    if model_name == ROOT_MODEL:
-        return ROOT_POTENCY
-    depths = []
-    typing = model.typings.get(elem)
-    if typing:
-        path = _path | {(model_name, elem)}
-        for _, ref in typing.all_refs():
-            if (ref.model, ref.elem) in path:
-                continue
-            tp = effective_potency(system, ref.model, ref.elem, path)
-            if tp.depth is not None:
-                depths.append(tp.depth)
-    # the most restrictive of all the types' depths, one less for the instance
-    depth = min(depths) - 1 if depths else None
-    return Potency(1, 1, depth)
+        out = declared
+    elif model_name == ROOT_MODEL:
+        out = ROOT_POTENCY
+    else:
+        depths = []
+        typing = model.typings.get(elem)
+        if typing:
+            path = _path | {(model_name, elem)}
+            for _, ref in typing.all_refs():
+                if (ref.model, ref.elem) in path:
+                    continue
+                tp = effective_potency(system, ref.model, ref.elem, path)
+                if tp.depth is not None:
+                    depths.append(tp.depth)
+        # the most restrictive of all the types' depths, one less for the instance
+        out = Potency(1, 1, min(depths) - 1 if depths else None)
+    return out if _path else system.remember(ck, out, (model_name,))
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +556,13 @@ def domain_of_definition(
     system: System, h: Hierarchy, j_model: str, i_model: str
 ) -> tuple[SubgraphRef, GraphMorphism]:
     """The subgraph of G_j of elements with a transitive type in G_i, together
-    with the total typing morphism from it into G_i."""
+    with the total typing morphism from it into G_i.  Memoized when h is the
+    hierarchy that owns the name j_model."""
+    ck = ("domain", j_model, i_model)
+    owned = system.hierarchy_of(j_model) is h
+    hit = system.cache.get(ck) if owned else None
+    if hit is not None:
+        return hit[0]
     chain_names = [m.name for m in h.typing_chain(j_model)]
     if i_model not in chain_names[1:]:
         raise ValueError(f"{i_model} is not strictly above {j_model}")
@@ -566,7 +580,7 @@ def domain_of_definition(
             arrow_map[a] = types[i_model]
     dom = SubgraphRef(mj.graph, frozenset(node_map), frozenset(arrow_map))
     tau = GraphMorphism(mj.graph, mi.graph, node_map, arrow_map)
-    return dom, tau
+    return system.remember(ck, (dom, tau), (j_model, i_model)) if owned else (dom, tau)
 
 
 def transitive_types(system: System, model_name: str, elem) -> dict[str, object]:
@@ -652,120 +666,150 @@ def _user_models(h: Hierarchy) -> list[Model]:
     return [h.models[n] for n in h.model_names() if n != ROOT_MODEL]
 
 
+def _per_model(system: System, condition: str, part, *args) -> list[Violation]:
+    """One condition check as the concatenation, over user models, of each
+    model's part.  A part reads its model, the model's typing chain, the
+    models their typings reach and the shape of the hierarchy tree, which
+    replace_model keeps; so it is memoized about the typing chain, and a
+    rewrite recomputes only the parts that read the rewritten model.  A model
+    whose name an earlier hierarchy owns is checked afresh each time."""
+    out: list[Violation] = []
+    owned: set = set()
+    for h in system.hierarchies():
+        for m in _user_models(h):
+            if m.name in owned:
+                out += part(system, h, m, *args)
+                continue
+            owned.add(m.name)
+            ck = (condition, m.name, *args)
+            found = system.cache.get(ck, (None,))[0]
+            if found is None:
+                about = tuple(x.name for x in h.typing_chain(m.name))
+                found = system.remember(ck, tuple(part(system, h, m, *args)), about)
+            out += found
+    return out
+
+
 def check_typing_structure(system: System) -> list[Violation]:
     """Type references resolve, have the right kind, sit strictly above in the
     owning hierarchy, and cross-dimension targets live in their hierarchy."""
+    return _per_model(system, "typing", _typing_part)
+
+
+def _typing_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
     out = []
-    for h in system.hierarchies():
-        for m in _user_models(h):
-            chain_above = {x.name for x in h.typing_chain(m.name)[1:]}
-            for e in m.graph.elements():
-                typing = m.typings.get(e)
-                if not typing or typing.own is None:
-                    out.append(Violation("typing", m.name, elem_str(e), "no type"))
-                    continue
-                for dim, ref in typing.all_refs():
-                    try:
-                        tgt_model = system.find_model(ref.model)
-                    except KeyError:
-                        out.append(
-                            Violation("typing", m.name, elem_str(e), f"unknown model {ref.model}")
-                        )
-                        continue
-                    if not tgt_model.graph.has(ref.elem):
-                        out.append(
-                            Violation("typing", m.name, elem_str(e), f"unknown type {ref}")
-                        )
-                        continue
-                    if isinstance(e, Arrow) != isinstance(ref.elem, Arrow):
-                        out.append(
-                            Violation("typing", m.name, elem_str(e), f"kind mismatch with {ref}")
-                        )
-                    if dim == "own" and ref.model not in chain_above:
-                        out.append(
-                            Violation(
-                                "typing",
-                                m.name,
-                                elem_str(e),
-                                f"type {ref} not strictly above in the typing chain",
-                            )
-                        )
+    chain_above = {x.name for x in h.typing_chain(m.name)[1:]}
+    for e in m.graph.elements():
+        typing = m.typings.get(e)
+        if not typing or typing.own is None:
+            out.append(Violation("typing", m.name, elem_str(e), "no type"))
+            continue
+        for dim, ref in typing.all_refs():
+            try:
+                tgt_model = system.find_model(ref.model)
+            except KeyError:
+                out.append(
+                    Violation("typing", m.name, elem_str(e), f"unknown model {ref.model}")
+                )
+                continue
+            if not tgt_model.graph.has(ref.elem):
+                out.append(
+                    Violation("typing", m.name, elem_str(e), f"unknown type {ref}")
+                )
+                continue
+            if isinstance(e, Arrow) != isinstance(ref.elem, Arrow):
+                out.append(
+                    Violation("typing", m.name, elem_str(e), f"kind mismatch with {ref}")
+                )
+            if dim == "own" and ref.model not in chain_above:
+                out.append(
+                    Violation(
+                        "typing",
+                        m.name,
+                        elem_str(e),
+                        f"type {ref} not strictly above in the typing chain",
+                    )
+                )
     return out
 
 
 def check_non_dangling(system: System) -> list[Violation]:
     """Every arrow's type has its source and target provided by transitive
     types of the arrow's endpoints at the same level difference."""
+    return _per_model(system, "non-dangling", _non_dangling_part)
+
+
+def _non_dangling_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
     out = []
-    for h in system.hierarchies():
-        for m in _user_models(h):
-            for a in m.plain_arrows():
-                typing = m.typings.get(a)
-                if not typing or not typing.own:
-                    continue
-                for _, ref in typing.all_refs():
-                    if not isinstance(ref.elem, Arrow):
-                        continue
-                    d = jump_distance(system, m.name, ref)
-                    src_ok = any(
-                        t.model == ref.model and t.elem == ref.elem.src and t.distance == d
-                        for t in type_closure(system, m.name, a.src)
+    for a in m.plain_arrows():
+        typing = m.typings.get(a)
+        if not typing or not typing.own:
+            continue
+        for _, ref in typing.all_refs():
+            if not isinstance(ref.elem, Arrow):
+                continue
+            d = jump_distance(system, m.name, ref)
+            src_ok = any(
+                t.model == ref.model and t.elem == ref.elem.src and t.distance == d
+                for t in type_closure(system, m.name, a.src)
+            )
+            tgt_ok = any(
+                t.model == ref.model and t.elem == ref.elem.tgt and t.distance == d
+                for t in type_closure(system, m.name, a.tgt)
+            )
+            if not src_ok:
+                out.append(
+                    Violation(
+                        "non-dangling",
+                        m.name,
+                        elem_str(a),
+                        f"source {a.src} has no type {ref.elem.src}@{ref.model} at distance {d}",
                     )
-                    tgt_ok = any(
-                        t.model == ref.model and t.elem == ref.elem.tgt and t.distance == d
-                        for t in type_closure(system, m.name, a.tgt)
+                )
+            if not tgt_ok:
+                out.append(
+                    Violation(
+                        "non-dangling",
+                        m.name,
+                        elem_str(a),
+                        f"target {a.tgt} has no type {ref.elem.tgt}@{ref.model} at distance {d}",
                     )
-                    if not src_ok:
-                        out.append(
-                            Violation(
-                                "non-dangling",
-                                m.name,
-                                elem_str(a),
-                                f"source {a.src} has no type {ref.elem.src}@{ref.model} at distance {d}",
-                            )
-                        )
-                    if not tgt_ok:
-                        out.append(
-                            Violation(
-                                "non-dangling",
-                                m.name,
-                                elem_str(a),
-                                f"target {a.tgt} has no type {ref.elem.tgt}@{ref.model} at distance {d}",
-                            )
-                        )
+                )
     return out
 
 
 def check_uniqueness(system: System) -> list[Violation]:
     """Composites of typing morphisms agree with the direct ones: for models
     i < j < k in one chain, tau_kj ; tau_ji is below tau_ki."""
+    return _per_model(system, "uniqueness", _uniqueness_part)
+
+
+def _uniqueness_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
     out = []
-    for h in system.hierarchies():
-        for m in _user_models(h):
-            chain = [x.name for x in h.typing_chain(m.name)]
-            k = chain[0]
-            for jdx in range(1, len(chain) - 1):
-                j = chain[jdx]
-                for idx in range(jdx + 1, len(chain)):
-                    i = chain[idx]
-                    _, tau_kj = domain_of_definition(system, h, k, j)
-                    _, tau_ji = domain_of_definition(system, h, j, i)
-                    _, tau_ki = domain_of_definition(system, h, k, i)
-                    composed = compose_partial(tau_kj, tau_ji)
-                    if not partial_leq(composed, tau_ki):
-                        bad = sorted(
-                            elem_str(e)
-                            for e in list(composed.nodes) + list(composed.arrows)
-                            if tau_ki.get(e) != composed.get(e)
-                        )
-                        out.append(
-                            Violation(
-                                "uniqueness",
-                                k,
-                                ",".join(bad) or "?",
-                                f"composite typing via {j} disagrees with direct typing into {i}",
-                            )
-                        )
+    chain = [x.name for x in h.typing_chain(m.name)]
+    k = chain[0]
+    for jdx in range(1, len(chain) - 1):
+        j = chain[jdx]
+        for idx in range(jdx + 1, len(chain)):
+            i = chain[idx]
+            _, tau_kj = domain_of_definition(system, h, k, j)
+            _, tau_ji = domain_of_definition(system, h, j, i)
+            _, tau_ki = domain_of_definition(system, h, k, i)
+            composed = compose_partial(tau_kj, tau_ji)
+            if not partial_leq(composed, tau_ki):
+                bad = sorted(
+                    elem_str(e)
+                    for e in list(composed.nodes) + list(composed.arrows)
+                    if tau_ki.get(e) != composed.get(e)
+                )
+                out.append(
+                    Violation(
+                        "uniqueness",
+                        k,
+                        ",".join(bad) or "?",
+                        f"composite typing via {j} disagrees with direct typing into {i}",
+                    )
+                )
     return out
 
 
@@ -773,118 +817,122 @@ def check_potency(system: System) -> list[Violation]:
     """Potency ranges restrict direct-instance level differences, depths
     strictly decrease along instantiation, and abstract nodes have no direct
     instances."""
+    return _per_model(system, "potency", _potency_part)
+
+
+def _potency_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
     out = []
-    for h in system.hierarchies():
-        for m in _user_models(h):
-            for e in m.graph.elements():
-                typing = m.typings.get(e)
-                if not typing:
-                    continue
-                for _, ref in typing.all_refs():
-                    d = jump_distance(system, m.name, ref)
-                    tpot = effective_potency(system, ref.model, ref.elem)
-                    if not tpot.admits_distance(d):
-                        out.append(
-                            Violation(
-                                "potency",
-                                m.name,
-                                elem_str(e),
-                                f"instance of {ref} at distance {d} outside range "
-                                f"{tpot.min}-{'*' if tpot.max is None else tpot.max}",
-                            )
-                        )
-                    if tpot.depth is not None and tpot.depth < 1:
-                        out.append(
-                            Violation(
-                                "potency",
-                                m.name,
-                                elem_str(e),
-                                f"depth of type {ref} is exhausted",
-                            )
-                        )
-                    epot = effective_potency(system, m.name, e)
-                    if tpot.depth is not None and (
-                        epot.depth is None or epot.depth >= tpot.depth
-                    ):
-                        out.append(
-                            Violation(
-                                "potency",
-                                m.name,
-                                elem_str(e),
-                                f"depth {'*' if epot.depth is None else epot.depth} not strictly "
-                                f"less than depth {tpot.depth} of type {ref}",
-                            )
-                        )
-                    tgt_model = system.find_model(ref.model)
-                    if isinstance(ref.elem, str) and ref.elem in tgt_model.abstract:
-                        out.append(
-                            Violation(
-                                "potency",
-                                m.name,
-                                elem_str(e),
-                                f"direct instance of abstract {ref}",
-                            )
-                        )
+    for e in m.graph.elements():
+        typing = m.typings.get(e)
+        if not typing:
+            continue
+        for _, ref in typing.all_refs():
+            d = jump_distance(system, m.name, ref)
+            tpot = effective_potency(system, ref.model, ref.elem)
+            if not tpot.admits_distance(d):
+                out.append(
+                    Violation(
+                        "potency",
+                        m.name,
+                        elem_str(e),
+                        f"instance of {ref} at distance {d} outside range "
+                        f"{tpot.min}-{'*' if tpot.max is None else tpot.max}",
+                    )
+                )
+            if tpot.depth is not None and tpot.depth < 1:
+                out.append(
+                    Violation(
+                        "potency",
+                        m.name,
+                        elem_str(e),
+                        f"depth of type {ref} is exhausted",
+                    )
+                )
+            epot = effective_potency(system, m.name, e)
+            if tpot.depth is not None and (
+                epot.depth is None or epot.depth >= tpot.depth
+            ):
+                out.append(
+                    Violation(
+                        "potency",
+                        m.name,
+                        elem_str(e),
+                        f"depth {'*' if epot.depth is None else epot.depth} not strictly "
+                        f"less than depth {tpot.depth} of type {ref}",
+                    )
+                )
+            tgt_model = system.find_model(ref.model)
+            if isinstance(ref.elem, str) and ref.elem in tgt_model.abstract:
+                out.append(
+                    Violation(
+                        "potency",
+                        m.name,
+                        elem_str(e),
+                        f"direct instance of abstract {ref}",
+                    )
+                )
     return out
 
 
 def check_inheritance(system: System) -> list[Violation]:
     """Specialisation is acyclic, relates nodes only, children agree with their
     parents on all typing morphisms and may not reuse parent arrow names."""
+    return _per_model(system, "inheritance", _inheritance_part)
+
+
+def _inheritance_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
     out = []
-    for h in system.hierarchies():
-        for m in _user_models(h):
-            for a in sorted(m.inherit_arrows):
-                if a.src == a.tgt:
-                    out.append(Violation("inheritance", m.name, elem_str(a), "self-inheritance"))
-            # acyclicity by walking parents
-            for start in sorted({a.src for a in m.inherit_arrows}):
-                seen, frontier = {start}, [start]
-                while frontier:
-                    cur = frontier.pop()
-                    for p in m.inheritance_parents(cur):
-                        if p == start:
-                            out.append(
-                                Violation("inheritance", m.name, start, "inheritance cycle")
-                            )
-                            frontier = []
-                            break
-                        if p not in seen:
-                            seen.add(p)
-                            frontier.append(p)
-            chain = [x.name for x in h.typing_chain(m.name)]
-            for a in sorted(m.inherit_arrows):
-                x, y = a.src, a.tgt
-                if x not in m.graph.nodes or y not in m.graph.nodes:
-                    continue
-                for above in chain[1:]:
-                    dom, tau = domain_of_definition(system, h, m.name, above)
-                    if dom.has(x) != dom.has(y) or (
-                        dom.has(x) and tau.get(x) != tau.get(y)
-                    ):
-                        out.append(
-                            Violation(
-                                "inheritance",
-                                m.name,
-                                x,
-                                f"typing into {above} differs from parent {y}",
-                            )
-                        )
-                child_arrow_names = {b.name for b in m.plain_arrows() if b.src == x}
-                parent_arrow_names = {b.name for b in m.plain_arrows() if b.src == y}
-                for clash in sorted(child_arrow_names & parent_arrow_names):
+    for a in sorted(m.inherit_arrows):
+        if a.src == a.tgt:
+            out.append(Violation("inheritance", m.name, elem_str(a), "self-inheritance"))
+    # acyclicity by walking parents
+    for start in sorted({a.src for a in m.inherit_arrows}):
+        seen, frontier = {start}, [start]
+        while frontier:
+            cur = frontier.pop()
+            for p in m.inheritance_parents(cur):
+                if p == start:
                     out.append(
-                        Violation(
-                            "inheritance", m.name, x, f"redefines parent arrow name {clash}"
-                        )
+                        Violation("inheritance", m.name, start, "inheritance cycle")
                     )
-                shared_attrs = set(m.attr_decls.get(x, ())) & set(m.attr_decls.get(y, ()))
-                for clash in sorted(shared_attrs):
-                    out.append(
-                        Violation(
-                            "inheritance", m.name, x, f"redefines parent attribute {clash}"
-                        )
+                    frontier = []
+                    break
+                if p not in seen:
+                    seen.add(p)
+                    frontier.append(p)
+    chain = [x.name for x in h.typing_chain(m.name)]
+    for a in sorted(m.inherit_arrows):
+        x, y = a.src, a.tgt
+        if x not in m.graph.nodes or y not in m.graph.nodes:
+            continue
+        for above in chain[1:]:
+            dom, tau = domain_of_definition(system, h, m.name, above)
+            if dom.has(x) != dom.has(y) or (
+                dom.has(x) and tau.get(x) != tau.get(y)
+            ):
+                out.append(
+                    Violation(
+                        "inheritance",
+                        m.name,
+                        x,
+                        f"typing into {above} differs from parent {y}",
                     )
+                )
+        child_arrow_names = {b.name for b in m.plain_arrows() if b.src == x}
+        parent_arrow_names = {b.name for b in m.plain_arrows() if b.src == y}
+        for clash in sorted(child_arrow_names & parent_arrow_names):
+            out.append(
+                Violation(
+                    "inheritance", m.name, x, f"redefines parent arrow name {clash}"
+                )
+            )
+        shared_attrs = set(m.attr_decls.get(x, ())) & set(m.attr_decls.get(y, ()))
+        for clash in sorted(shared_attrs):
+            out.append(
+                Violation(
+                    "inheritance", m.name, x, f"redefines parent attribute {clash}"
+                )
+            )
     return out
 
 
@@ -892,51 +940,53 @@ def check_multiplicity(system: System, strict: bool = False) -> list[Violation]:
     """Upper bounds always hold for direct arrow instances per source instance;
     lower bounds only under strict validation (intermediate rewrite states are
     legitimately incomplete)."""
+    return _per_model(system, "multiplicity", _multiplicity_part, strict)
+
+
+def _multiplicity_part(system: System, h: Hierarchy, m: Model, strict: bool) -> list[Violation]:
     out = []
-    for h in system.hierarchies():
-        for m in _user_models(h):
-            counts: dict[tuple, int] = {}
-            for a in m.plain_arrows():
-                t = m.typings.get(a)
-                if not t or not t.own:
+    counts: dict[tuple, int] = {}
+    for a in m.plain_arrows():
+        t = m.typings.get(a)
+        if not t or not t.own:
+            continue
+        key = (t.own, a.src)
+        counts[key] = counts.get(key, 0) + 1
+    for (ref, src), n in sorted(counts.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
+        tgt_model = system.find_model(ref.model)
+        if not isinstance(ref.elem, Arrow):
+            continue
+        mult = tgt_model.multiplicity(ref.elem)
+        if mult.max is not None and n > mult.max:
+            out.append(
+                Violation(
+                    "multiplicity",
+                    m.name,
+                    src,
+                    f"{n} direct instances of {ref} exceed max {mult.max}",
+                )
+            )
+    if strict:
+        for above in h.typing_chain(m.name)[1:]:
+            for f in above.plain_arrows():
+                mult = above.multiplicity(f)
+                if mult.min == 0:
                     continue
-                key = (t.own, a.src)
-                counts[key] = counts.get(key, 0) + 1
-            for (ref, src), n in sorted(counts.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
-                tgt_model = system.find_model(ref.model)
-                if not isinstance(ref.elem, Arrow):
-                    continue
-                mult = tgt_model.multiplicity(ref.elem)
-                if mult.max is not None and n > mult.max:
-                    out.append(
-                        Violation(
-                            "multiplicity",
-                            m.name,
-                            src,
-                            f"{n} direct instances of {ref} exceed max {mult.max}",
+                ref = TypeRef(above.name, f)
+                src_ref = TypeRef(above.name, f.src)
+                for x in sorted(m.graph.nodes):
+                    if not has_type(system, m.name, x, src_ref):
+                        continue
+                    n = counts.get((ref, x), 0)
+                    if n < mult.min:
+                        out.append(
+                            Violation(
+                                "multiplicity",
+                                m.name,
+                                x,
+                                f"{n} direct instances of {ref} below min {mult.min}",
+                            )
                         )
-                    )
-            if strict:
-                for above in h.typing_chain(m.name)[1:]:
-                    for f in above.plain_arrows():
-                        mult = above.multiplicity(f)
-                        if mult.min == 0:
-                            continue
-                        ref = TypeRef(above.name, f)
-                        src_ref = TypeRef(above.name, f.src)
-                        for x in sorted(m.graph.nodes):
-                            if not has_type(system, m.name, x, src_ref):
-                                continue
-                            n = counts.get((ref, x), 0)
-                            if n < mult.min:
-                                out.append(
-                                    Violation(
-                                        "multiplicity",
-                                        m.name,
-                                        x,
-                                        f"{n} direct instances of {ref} below min {mult.min}",
-                                    )
-                                )
     return out
 
 
@@ -944,55 +994,57 @@ def check_dimensions(system: System) -> list[Violation]:
     """Cross-dimension typing rules: extra types only on application-hierarchy
     elements, supplementary targets in their own hierarchy, combined depth is
     computed in the most restrictive manner (covered by the potency check)."""
+    return _per_model(system, "dimensions", _dimensions_part)
+
+
+def _dimensions_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
     out = []
-    for h in system.hierarchies():
-        is_app = h.dimension == APPLICATION
-        for m in _user_models(h):
-            for e in m.graph.elements():
-                typing = m.typings.get(e)
-                if not typing:
-                    continue
-                extras = list(typing.supplementary.items()) + (
-                    [("data", typing.data)] if typing.data else []
+    is_app = h.dimension == APPLICATION
+    for e in m.graph.elements():
+        typing = m.typings.get(e)
+        if not typing:
+            continue
+        extras = list(typing.supplementary.items()) + (
+            [("data", typing.data)] if typing.data else []
+        )
+        if extras and not is_app:
+            out.append(
+                Violation(
+                    "dimensions",
+                    m.name,
+                    elem_str(e),
+                    "multi-typed element outside the application dimension",
                 )
-                if extras and not is_app:
-                    out.append(
-                        Violation(
-                            "dimensions",
-                            m.name,
-                            elem_str(e),
-                            "multi-typed element outside the application dimension",
-                        )
+            )
+        for hname, ref in typing.supplementary.items():
+            if hname not in system.supplementary:
+                out.append(
+                    Violation(
+                        "dimensions",
+                        m.name,
+                        elem_str(e),
+                        f"unknown supplementary hierarchy {hname}",
                     )
-                for hname, ref in typing.supplementary.items():
-                    if hname not in system.supplementary:
-                        out.append(
-                            Violation(
-                                "dimensions",
-                                m.name,
-                                elem_str(e),
-                                f"unknown supplementary hierarchy {hname}",
-                            )
-                        )
-                        continue
-                    if ref.model not in system.supplementary[hname].models:
-                        out.append(
-                            Violation(
-                                "dimensions",
-                                m.name,
-                                elem_str(e),
-                                f"type {ref} outside supplementary hierarchy {hname}",
-                            )
-                        )
-                if typing.data and typing.data.model not in system.data.models:
-                    out.append(
-                        Violation(
-                            "dimensions",
-                            m.name,
-                            elem_str(e),
-                            f"data type {typing.data} outside the data-type hierarchy",
-                        )
+                )
+                continue
+            if ref.model not in system.supplementary[hname].models:
+                out.append(
+                    Violation(
+                        "dimensions",
+                        m.name,
+                        elem_str(e),
+                        f"type {ref} outside supplementary hierarchy {hname}",
                     )
+                )
+        if typing.data and typing.data.model not in system.data.models:
+            out.append(
+                Violation(
+                    "dimensions",
+                    m.name,
+                    elem_str(e),
+                    f"data type {typing.data} outside the data-type hierarchy",
+                )
+            )
     return out
 
 
@@ -1017,7 +1069,10 @@ class ValidationReport:
 
 
 def validate_hierarchy(system: System, strict_multiplicity: bool = False) -> ValidationReport:
-    """Run every condition check and aggregate the findings."""
+    """Run every condition check and aggregate the findings.  Each check is
+    assembled from memoized per-model parts, so on a system value made by
+    replace_model only the parts that read the replaced model are computed
+    again; the report itself is a fact about the whole system."""
     ck = ("validate", strict_multiplicity)
     hit = system.cache.get(ck)
     if hit is not None:

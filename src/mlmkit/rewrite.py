@@ -6,8 +6,11 @@ a pushout along the inclusion of the FROM graph, the FROM-only part is
 deleted by final pullback complement, and the rewritten model keeps the
 records of its surviving elements.  Created elements are typed by the
 binding image of their pattern type (a coupled rule) or by the concrete type
-that proliferation recorded (a two-level rule).  A post-filter then rejects
-results with fresh potency, multiplicity or other violations.  The same
+that proliferation recorded (a two-level rule).  A post-filter then runs
+every condition check of validate_hierarchy and rejects a result with any
+violation the system did not have before.  Validation is assembled from
+per-model facts that the new system value carries over, so the post-filter
+recomputes only the parts that read the rewritten model.  The same
 rewrite built as a pushout of inclusion chains followed by a reduct is the
 reference construction that the tests check every shipped application
 against.
@@ -139,9 +142,10 @@ def apply_rule(
 ) -> ApplicationResult:
     """Apply one rule at one match: glue in the interface by pushout, delete
     the FROM-only part by final pullback complement, type the created
-    elements by the binding images of their pattern types, then re-validate
-    potency and multiplicity.  Callers that guarantee validity themselves may
-    skip the post-filter."""
+    elements by the binding images of their pattern types, then post-filter:
+    run every condition check of validate_hierarchy on the result and raise
+    NotApplicable on any violation the system did not have before.  Callers
+    that guarantee validity themselves may skip the post-filter."""
     if rule.params:
         raise RuleError(f"rule {rule.name} has unbound parameters")
     binding = lhs_match.binding

@@ -519,29 +519,38 @@ def stale_facts(system, rules=()) -> list:
     """The cache keys of a system whose memoized facts differ from the same
     facts derived on a cache-free copy of it.  Prepared match targets compare
     by graph, pools and by-type index; meta bindings are derived again with
-    the rule among `rules` whose meta chain they were matched for."""
-    from mlmkit.hierarchy import (
-        System,
-        domain_between,
-        reach,
-        transitive_types,
-        type_closure,
-        type_refs,
-        validate_hierarchy,
-    )
+    the rule among `rules` whose meta chain they were matched for.  A model's
+    part of a condition check is the violations of the whole check that name
+    that model."""
+    from mlmkit import hierarchy as hy
     from mlmkit.matching import _target, meta_bindings
 
-    fresh = System(system.application, system.supplementary, system.data)
+    fresh = hy.System(system.application, system.supplementary, system.data)
     by_meta = {rule.meta_key: rule for rule in rules}
+    checks = {
+        "typing": hy.check_typing_structure,
+        "non-dangling": hy.check_non_dangling,
+        "uniqueness": hy.check_uniqueness,
+        "potency": hy.check_potency,
+        "inheritance": hy.check_inheritance,
+        "multiplicity": hy.check_multiplicity,
+        "dimensions": hy.check_dimensions,
+    }
     derive = {
-        "closure": type_closure,
-        "type-refs": type_refs,
-        "transitive": transitive_types,
-        "dom": domain_between,
-        "reach": reach,
-        "validate": validate_hierarchy,
+        "closure": hy.type_closure,
+        "type-refs": hy.type_refs,
+        "transitive": hy.transitive_types,
+        "dom": hy.domain_between,
+        "domain": lambda s, j, i: hy.domain_of_definition(s, s.hierarchy_of(j), j, i),
+        "effective-potency": hy.effective_potency,
+        "reach": hy.reach,
+        "validate": hy.validate_hierarchy,
         "meta": lambda s, model, meta_key: meta_bindings(s, by_meta[meta_key], model),
     }
+    for condition, check in checks.items():
+        derive[condition] = lambda s, model, *args, check=check: tuple(
+            v for v in check(s, *args) if v.model == model
+        )
     out = []
     for key, (value, _) in list(system.cache.items()):
         kind, *args = key

@@ -7,6 +7,7 @@ from mlmkit.graph import Arrow, graph
 from mlmkit.hierarchy import (
     APPLICATION,
     ROOT_MODEL,
+    SUPPLEMENTARY,
     ElementTyping,
     Hierarchy,
     Model,
@@ -19,6 +20,7 @@ from mlmkit.hierarchy import (
     check_multiplicity,
     check_non_dangling,
     check_potency,
+    check_typing_structure,
     check_uniqueness,
     collapse_attributes,
     domain_between,
@@ -438,7 +440,27 @@ def test_type_refs_are_the_type_closure_without_the_element():
             assert refs == want, (name, x)
 
 
-FACT_KINDS = {"closure", "type-refs", "transitive", "dom", "reach", "validate", "meta", "match-target"}
+CHECK_PARTS = {
+    "typing",
+    "non-dangling",
+    "uniqueness",
+    "potency",
+    "inheritance",
+    "multiplicity",
+    "dimensions",
+}
+FACT_KINDS = {
+    "closure",
+    "type-refs",
+    "transitive",
+    "dom",
+    "domain",
+    "effective-potency",
+    "reach",
+    "validate",
+    "meta",
+    "match-target",
+} | CHECK_PARTS
 
 
 def _derive_every_fact(system, rules, model_name):
@@ -447,7 +469,12 @@ def _derive_every_fact(system, rules, model_name):
     for name, x in _all_type_refs(system):
         type_closure(system, name, x)
         transitive_types(system, name, x)
+        effective_potency(system, name, x)
         reach(system, name)
+    for h in system.hierarchies():
+        for j in h.models:
+            for above in h.typing_chain(j)[1:]:
+                domain_of_definition(system, h, j, above.name)
     names = sorted({n for h in system.hierarchies() for n in h.models})
     for j in names:
         for i in names:
@@ -472,6 +499,12 @@ def test_facts_carried_by_replace_model_stay_exact(robolang_system, robolang_rul
         assert not {"legolang", "robot_1", "robot_1_run_1"} & set(about), key
     assert {key[0] for key in new.cache} == FACT_KINDS - {"validate", "meta"}
     assert ("type-refs", "robolang", "Task") in new.cache
+    # every model had its part of every check; only robolang's survive
+    names = {"robolang", "legolang", "robot_1", "robot_1_run_1"}
+    parts_before = {key[:2] for key in system.cache if key[0] in CHECK_PARTS}
+    parts_after = {key[:2] for key in new.cache if key[0] in CHECK_PARTS}
+    assert {(c, n) for c in CHECK_PARTS for n in names} <= parts_before
+    assert {(c, n) for c, n in parts_after if n in names} == {(c, "robolang") for c in CHECK_PARTS}
     assert stale_facts(new, robolang_rules.values()) == []
     assert ("robolang", "Input") in type_refs(new, "robot_1", "GF")
     assert ("robolang", "Input") not in type_refs(system, "robot_1", "GF")
@@ -512,3 +545,70 @@ def test_typing_walks_end_on_a_typing_cycle():
     assert ("b", "Y") in type_refs(system, "a", "X")
     assert ("a", "X") in type_refs(system, "b", "Y")
     assert ("a", Arrow("e", "X", "P")) in type_refs(system, "b", Arrow("f", "Y", "Q"))
+
+
+# a typing cycle whose potency walks meet a depth: started at b.Y, the walk
+# reaches the depth through a.X; started at a.X, it never walks b.Y's types
+CYCLE_WITH_DEPTH = """
+hierarchy application h {
+  model a : root {
+    node X : Y@b & D@s
+  }
+  model b : a {
+    node Y : X@a
+  }
+}
+hierarchy supplementary s {
+  model s : root {
+    node D pot 1-1-3
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("text", [CYCLE_WITH_ARROWS, CYCLE_WITH_DEPTH], ids=["arrows", "depth"])
+def test_memoized_potencies_and_validation_agree_warm_and_cold_on_a_typing_cycle(text):
+    """On a typing cycle a potency walk that starts inside the cycle depends
+    on its path; memoized walks and reports must not carry that into the
+    values read from a cold system."""
+    warm = load_hierarchy(text)
+    elements = [
+        (name, x)
+        for name in ("a", "b")
+        for x in sorted(warm.find_model(name).graph.elements(), key=str)
+    ]
+    # warm every walk from each end of the cycle, in both orders
+    for name, x in elements + elements[::-1]:
+        effective_potency(warm, name, x)
+    for name, x in elements:
+        assert effective_potency(warm, name, x) == effective_potency(load_hierarchy(text), name, x)
+    checks = (
+        check_typing_structure,
+        check_non_dangling,
+        check_uniqueness,
+        check_potency,
+        check_inheritance,
+        check_multiplicity,
+        check_dimensions,
+    )
+    for check in checks:
+        assert check(warm) == check(load_hierarchy(text)), check.__name__
+    for strict in (False, True):
+        assert validate_hierarchy(warm, strict) == validate_hierarchy(load_hierarchy(text), strict)
+        assert not validate_hierarchy(warm, strict).ok
+
+
+def test_a_model_whose_name_an_earlier_hierarchy_owns_is_still_checked():
+    app = Hierarchy("h", APPLICATION)
+    sub = Arrow("up", "X", "W")
+    app.add_model(Model("a", graph(["X", "W"], [sub]), inherit_arrows=frozenset({sub})), ROOT_MODEL)
+    supp = Hierarchy("s", SUPPLEMENTARY)
+    loop, up = Arrow("loop", "Y", "Y"), Arrow("up", "X", "Z")
+    supp.add_model(
+        Model("a", graph(["X", "Y", "Z"], [loop, up]), inherit_arrows=frozenset({loop, up})),
+        ROOT_MODEL,
+    )
+    system = System(app, {"s": supp})
+    want = ["[inheritance] a/loop:Y->Y: self-inheritance", "[inheritance] a/Y: inheritance cycle"]
+    for _ in range(2):  # cold, then with the application model's facts memoized
+        assert [str(v) for v in check_inheritance(system)] == want

@@ -337,6 +337,18 @@ def test_cli_validate_reports_typing_cycle(tmp_path, capsys, text):
     assert "[typing] a/X: type Y@b not strictly above in the typing chain" in out.splitlines()
 
 
+def test_cli_validate_prints_the_whole_typing_cycle_report(tmp_path, capsys):
+    cyclic = tmp_path / "cycle.mlh"
+    cyclic.write_text(CYCLE_WITH_ARROWS)
+    for strict in ([], ["--strict"]):
+        assert main(["validate", str(cyclic)] + strict) == 1
+        assert capsys.readouterr().out == (
+            "[non-dangling] a/e:X->P: source X has no type EClass@root at distance 1\n"
+            "[potency] a/X: instance of Y@b at distance -1 outside range 1-1\n"
+            "[typing] a/X: type Y@b not strictly above in the typing chain\n"
+        )
+
+
 def test_commands_that_walk_typings_report_a_typing_cycle(tmp_path, capsys):
     cyclic = tmp_path / "cycle.mlh"
     cyclic.write_text(CYCLE_WITH_ARROWS)

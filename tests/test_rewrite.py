@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from mlmkit import rewrite
+from mlmkit import rewrite, simulate
 from mlmkit.graph import Arrow
-from mlmkit.hierarchy import transitive_types, validate_hierarchy
+from mlmkit.hierarchy import System, transitive_types, validate_hierarchy
 from mlmkit.ltl import formula_system, rewrite_with_rules
 from mlmkit.matching import bind_lhs, match_for_model
 from mlmkit.mlhio import load_hierarchy, save_hierarchy
@@ -19,7 +19,9 @@ from mlmkit.rewrite import (
     two_level_matches,
 )
 from mlmkit.rules import parse_rules
+from mlmkit.simulate import SeededChoice, Trace, parse_layers
 
+from conftest import FIXTURES, load_fixture
 from oracles import chain_rewrite
 from test_acceptance import _random_term
 
@@ -480,3 +482,39 @@ rule Spread {
     created_cs = [e for e in variants[0].rhs.nodes() if e.name.startswith("c")]
     # one box instance exists in the configuration
     assert len(created_cs) == 1
+
+
+def test_postfilter_with_carried_facts_agrees_with_a_cold_validation(monkeypatch, robolang_rules):
+    """Every apply_rule attempted in criterion 7 seeds 0 and 1, accepted or
+    rejected, ends alike on the system value the simulation carried its facts
+    into and on a cache-free copy of it, down to the NotApplicable text."""
+    config = parse_layers((FIXTURES / "robolang.layers").read_text(encoding="utf-8"))
+    original = rewrite.apply_rule
+    accepted = []
+
+    def outcome(system, *args):
+        try:
+            res = original(system, *args)
+        except NotApplicable as e:
+            return None, str(e)
+        model = res.system.find_model(res.model)
+        return res, (res.created, res.deleted, res.preserved, model.graph, model.typings)
+
+    def checked(system, *args):
+        res, got = outcome(system, *args)
+        cold = System(system.application, system.supplementary, system.data)
+        assert got == outcome(cold, *args)[1]
+        accepted.append(res is not None)
+        if res is None:
+            raise NotApplicable(got)
+        return res
+
+    monkeypatch.setattr(rewrite, "apply_rule", checked)
+    monkeypatch.setattr(simulate, "apply_rule", checked)
+    model = "robot_1_run_1"
+    for seed in (0, 1):
+        system, chooser, trace = load_fixture("robolang.mlh"), SeededChoice(seed), Trace(seed)
+        for k in range(1, 11):
+            system, _ = simulate.step(system, model, robolang_rules, config, chooser, trace, k)
+            list_applications(system, [robolang_rules["DeleteTask"]], model)
+    assert True in accepted and False in accepted
