@@ -16,17 +16,23 @@ command line, its standard output, its standard error and its exit code:
   parameter is bound to 1);
 - `simulate` on robolang and agents, seeds 0-3, 10 steps, with the `--trace`
   file beside it;
-- the output of `run_robolang_sim.py` and `check_pls_chains.py`.
+- the output of `run_robolang_sim.py` and `check_pls_chains.py`;
+- `ltl-rewrite_*.txt`: the term `ltl.rewrite_with_rules` gives with the
+  rules of `ltl.mcmt`, one line per formula, for criterion 8's 100 formulas
+  (`Random(42)`) and for 300 seeded draws of the same generator with atoms
+  and release added.
 """
 
 import contextlib
 import io
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 from mlmkit.cli import main as cli_main
 from mlmkit.hierarchy import ROOT_MODEL
+from mlmkit.ltl import formula_system, render_term, rewrite_with_rules, to_term
 from mlmkit.mlhio import load_hierarchy
 from mlmkit.rules import parse_rules
 
@@ -56,6 +62,39 @@ SIMULATIONS = [
     ("robolang.mlh", "robolang.mcmt", "robolang.layers", "robot_1_run_1"),
     ("agents.mlh", "agents.mcmt", "agents.layers", "duo_run"),
 ]
+
+
+CRITERION_8_OPS = ["const", "not", "and", "or", "impl", "X", "U", "F", "G"]
+WITH_ATOMS_OPS = CRITERION_8_OPS + ["atom", "R"]
+
+
+def _random_term(rng, depth, ops):
+    """Criterion 8's generator (tests/test_acceptance.py) over `ops`; an
+    "atom" draw gives one of a, b, c."""
+    if depth == 0:
+        return ("const", rng.random() < 0.5)
+    op = rng.choice(ops)
+    if op == "const":
+        return ("const", rng.random() < 0.5)
+    if op == "atom":
+        return ("atom", rng.choice("abc"))
+    if op in ("not", "X", "F", "G"):
+        return (op, _random_term(rng, depth - 1, ops))
+    return (op, _random_term(rng, depth - 1, ops), _random_term(rng, depth - 1, ops))
+
+
+def _rewritten_terms(outdir: Path, name: str, rng, count: int, ops) -> None:
+    rules = {r.name: r for r in parse_rules((FIXTURES / "ltl.mcmt").read_text(encoding="utf-8"))}
+    lines = []
+    for _ in range(count):
+        t = _random_term(rng, rng.randint(1, 4), ops)
+        try:
+            system = rewrite_with_rules(formula_system(t), "property", rules)
+            out = render_term(to_term(system, "property"))
+        except RuntimeError as e:
+            out = f"error: {e}"
+        lines.append(f"{render_term(t)} => {out}\n")
+    (outdir / f"ltl-rewrite_{name}.txt").write_text("".join(lines), encoding="utf-8")
 
 
 def _run(outdir: Path, name: str, argv: list) -> None:
@@ -117,6 +156,9 @@ def write_corpus(outdir: Path) -> None:
             trace = outdir / f"{name}.trace"
             argv = ["simulate", f(hier), f(rules_file), "--layers", f(layers), "--model", model]
             run(name, argv + ["--steps", "10", "--seed", str(seed), "--trace", str(trace)])
+
+    _rewritten_terms(outdir, "criterion8", random.Random(42), 100, CRITERION_8_OPS)
+    _rewritten_terms(outdir, "atoms", random.Random("ltl-rewrite/atoms"), 300, WITH_ATOMS_OPS)
 
     for script in ("run_robolang_sim.py", "check_pls_chains.py"):
         done = subprocess.run(

@@ -25,6 +25,7 @@ from .hierarchy import (
     TypeRef,
     transitive_types,
 )
+from .rewrite import _survivors
 
 UNARY_OPS = {"not": "Not", "X": "X", "F": "F", "G": "G"}
 BINARY_OPS = {"and": "And", "or": "Or", "impl": "Implication", "U": "U", "R": "R"}
@@ -701,62 +702,34 @@ def monitor_step(system: System, model_name: str, snapshot: str) -> System:
 # ---------------------------------------------------------------------------
 
 
-def _unguarded_parents(system: System, model_name: str) -> set:
-    """Nodes whose outgoing structure arrows are now-positions: reachable from
-    the root without crossing a next operator, and not next operators
-    themselves.  The root marker is always one of them."""
+def _live(system: System, model_name: str):
+    """One breadth-first walk from the root over the structure arrows, which
+    collects the formula garbage and describes the live formula.  Formula
+    nodes the walk does not reach are dropped with their arrows, typings and
+    attributes (the model is rebuilt only if there are any); root markers and
+    nodes without a logic kind stay.  Returns the system, the logic kinds
+    present, each live node's shortest distance from the root marker (next
+    operators included, the marker at -1) and the now-positions: the marker
+    and the nodes reached without crossing a next operator, next operators
+    excluded."""
     model = system.find_model(model_name)
     kinds, children, _, root = _structure(system, model)
-    seen: set[str] = set()
-
-    def walk(n):
-        if n in seen or n is None:
-            return
-        seen.add(n)
-        if kinds.get(n) == "X":
-            return  # the operand is the next state
-        for slot in ("formula", "left", "right"):
-            if slot in children.get(n, {}):
-                walk(children[n][slot])
-
-    for a in model.plain_arrows():
-        kind = _ltl_kind(system, model, a)
-        if isinstance(kind, Arrow) and kind.name == "rootf":
-            seen.add(a.src)
-    walk(root)
-    return {n for n in seen if kinds.get(n) != "X"} | {
-        n for n in model.graph.nodes if kinds.get(n) == "Root"
-    }
-
-
-def _rewritten_kind(rule) -> str | None:
-    """The logic type the rule rewrites: the mm1 type of the FROM element
-    that the arrow leaving the parent position p points to."""
-    for el in rule.lhs.arrows():
-        if el.src == "p":
-            node = rule.lhs.by_name(el.tgt)
-            return node.type.name if node is not None and node.type else None
-    return None
-
-
-def _root_depths(system: System, model_name: str) -> dict:
-    """Shortest distance from the root marker, next operators included."""
-    model = system.find_model(model_name)
-    kinds, children, _, root = _structure(system, model)
-    depth = {}
-    frontier = [(root, 0)]
-    while frontier:
-        n, d = frontier.pop(0)
-        if n is None or n in depth:
+    depths = {n: -1 for n, k in kinds.items() if k == "Root"}
+    now = set(depths)
+    walk = [(root, 0, True)]
+    for n, d, unguarded in walk:  # grows while it is read
+        unguarded = unguarded and kinds.get(n) != "X"  # an X's operand is the next state
+        if n is None or n in (now if unguarded else depths):
             continue
-        depth[n] = d
-        for slot in ("formula", "left", "right"):
-            if slot in children.get(n, {}):
-                frontier.append((children[n][slot], d + 1))
-    for n in model.graph.nodes:
-        if kinds.get(n) == "Root":
-            depth[n] = -1
-    return depth
+        depths.setdefault(n, d)
+        if unguarded:
+            now.add(n)
+        walk.extend((c, d + 1, unguarded) for c in children[n].values())
+    live = {n for n, k in kinds.items() if k is None or n in depths}
+    if len(live) < len(kinds):
+        arrows = (a for a in model.graph.arrows if a.src in live and a.tgt in live)
+        system = system.replace_model(_survivors(model, graph(live, arrows)))
+    return system, {kinds[n] for n in live}, depths, now
 
 
 def rewrite_with_rules(system: System, model_name: str, rules: dict, cap: int = 4000) -> System:
@@ -766,6 +739,13 @@ def rewrite_with_rules(system: System, model_name: str, rules: dict, cap: int = 
     unfolded terms to unroll followed by simplify_and_step.  A rule is tried
     only while the logic type it rewrites occurs in the model.
 
+    Each application is a term graph rewrite step in three parts (Plump,
+    "Term graph rewriting", 1999): apply_rule builds the new subterm and
+    redirects the parent's arrow to it, then the formula nodes the
+    redirection left unreachable from the root marker are collected with
+    their arrows, typings and attributes, so matching scans only the live
+    formula.
+
     The meta bindings come from matching.meta_bindings.  They read only the
     stack above the formula model, which the rewrites never change, so each
     new system value carries them over and the meta chains are matched once
@@ -773,13 +753,6 @@ def rewrite_with_rules(system: System, model_name: str, rules: dict, cap: int = 
     phase, the last rule applied and the formula reached."""
     from .matching import bind_lhs, meta_bindings
     from .rewrite import NotApplicable, apply_rule
-
-    def present_kinds() -> set:
-        model = system.find_model(model_name)
-        return {
-            _ltl_kind(system, model, n)
-            for n in model.graph.nodes
-        }
 
     spent = 0
 
@@ -795,22 +768,19 @@ def rewrite_with_rules(system: System, model_name: str, rules: dict, cap: int = 
     phases = (("Unroll", True), ("Fold", False), ("DeleteNext", False), ("Fold", False))
     for phase, guarded in phases:
         names = [n for n in sorted(rules) if n.startswith(phase)]
-        kinds = {name: _rewritten_kind(rules[name]) for name in names}
         if guarded:
             # outermost-first: always rewrite the shallowest now-position
             while True:
-                allowed = _unguarded_parents(system, model_name)
-                depths = _root_depths(system, model_name)
-                kinds_here = present_kinds()
+                system, kinds_here, depths, now = _live(system, model_name)
                 best = None
                 for name in names:
                     rule = rules[name]
-                    if kinds[name] not in kinds_here:
+                    if rule.rewritten_kind not in kinds_here:
                         continue
                     for b in meta_bindings(system, rule, model_name):
                         for m in bind_lhs(system, rule, b, model_name):
                             p = m.mu_map().get("p")
-                            if p not in allowed or p not in depths:
+                            if p not in now:
                                 continue
                             key = (depths[p], name, m.sort_key())
                             if best is None or key < best[0]:
@@ -824,10 +794,10 @@ def rewrite_with_rules(system: System, model_name: str, rules: dict, cap: int = 
             progress = True
             while progress:
                 progress = False
-                kinds_here = present_kinds()
+                system, kinds_here, _, _ = _live(system, model_name)
                 for name in names:
                     rule = rules[name]
-                    if kinds[name] not in kinds_here:
+                    if rule.rewritten_kind not in kinds_here:
                         continue
                     while True:
                         m = None
@@ -846,7 +816,7 @@ def rewrite_with_rules(system: System, model_name: str, rules: dict, cap: int = 
                             break
                         progress = True
                         applied(phase, name)
-                        kinds_here = present_kinds()
+                        system, kinds_here, _, _ = _live(system, model_name)
     return system
 
 

@@ -95,6 +95,7 @@ def load_hierarchy(text: str) -> System:
     supp: dict[str, Hierarchy] = {}
     # first pass collects the raw model statements; resolution needs them all
     pending: list[tuple[Hierarchy, str, str, list]] = []
+    owners: dict[str, str] = {}  # model name -> hierarchy holding it
     while cur.peek().kind != "eof":
         cur.expect("hierarchy")
         dim = cur.ident()
@@ -111,8 +112,12 @@ def load_hierarchy(text: str) -> System:
             raise LoadError(f"unknown dimension {dim!r}")
         cur.expect("{")
         while cur.peek().text != "}":
-            cur.expect("model")
+            at = cur.expect("model")
             mname = cur.ident()
+            if mname in owners or mname == ROOT_MODEL:
+                where = f"hierarchy {owners[mname]}" if mname in owners else "every hierarchy"
+                raise LoadError(f"{at.line}:{at.col}: model {mname} already exists in {where}")
+            owners[mname] = name
             cur.expect(":")
             parent = cur.ident()
             cur.expect("{")

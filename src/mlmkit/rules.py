@@ -154,6 +154,17 @@ class McmtRule:
         have equal meta matches."""
         return repr(self.meta)
 
+    @cached_property
+    def rewritten_kind(self) -> Optional[str]:
+        """The mm1 type of the FROM element that the arrow leaving the parent
+        position p points to, taken once per rule: the logic kind a formula
+        rule rewrites (None without such an arrow)."""
+        for el in self.lhs.arrows():
+            if el.src == "p":
+                node = self.lhs.by_name(el.tgt)
+                return node.type.name if node is not None and node.type else None
+        return None
+
     def meta_level(self, k: int) -> PatternBlock:
         """Meta pattern at level k, 1-based like the mmK syntax."""
         return self.meta[k - 1]

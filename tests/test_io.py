@@ -61,6 +61,57 @@ def test_two_application_hierarchies_rejected():
         load_hierarchy(text)
 
 
+# a supplementary model `a`; beside an application model `a`, every by-name
+# lookup would resolve `Y@a` to the application model
+SUPPLEMENTARY_A = """
+hierarchy supplementary s {
+  model a : root {
+    node Y pot 1-1-1
+  }
+  model b : a {
+    node Z : Y@a pot 1-1-3
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (
+            "hierarchy application h { model a : root { node Y pot 1-1-5 } }" + SUPPLEMENTARY_A,
+            "3:3: model a already exists in hierarchy h",
+        ),
+        (
+            "hierarchy application h { model a : root { } model a : root { } }",
+            "1:46: model a already exists in hierarchy h",
+        ),
+        (
+            "hierarchy application h { model root : root { } }",
+            "1:27: model root already exists in every hierarchy",
+        ),
+    ],
+    ids=["two-hierarchies", "one-hierarchy", "root"],
+)
+def test_a_model_name_held_twice_is_one_line_exit_two(tmp_path, capsys, text, where):
+    with pytest.raises(LoadError) as err:
+        load_hierarchy(text)
+    assert str(err.value) == where
+    path = tmp_path / "twice.mlh"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert _one_error_line(capsys) == f"error: {where}"
+
+
+def test_a_renamed_application_model_shows_what_a_held_name_hid(tmp_path, capsys):
+    path = tmp_path / "renamed.mlh"
+    text = "hierarchy application h { model c : root { node Y pot 1-1-5 } }" + SUPPLEMENTARY_A
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "[potency] b/Z: depth 3 not strictly less than depth 1 of type Y@a" in out
+
+
 def test_export_dot_empty_model():
     system = load_hierarchy("hierarchy application a { model m : root { } }")
     dot = export_dot(system, "m")
