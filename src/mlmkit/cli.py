@@ -72,8 +72,15 @@ def _pick_rule(rules: dict, name: str, params: list):
     rule = rules[name]
     bound = {}
     for p in params or []:
-        k, _, v = p.partition("=")
-        bound[k.strip()] = int(v)
+        k, eq, v = (part.strip() for part in p.partition("="))
+        if not eq:
+            raise RuleError(f"--param {p}: expected NAME=INTEGER")
+        if k not in rule.params:
+            raise RuleError(f"rule {name} has no parameter {k}")
+        try:
+            bound[k] = int(v)
+        except ValueError:
+            raise RuleError(f"--param {p}: {v!r} is not an integer") from None
     if rule.params or bound:
         rule = substitute_parameters(rule, bound)
     return rule

@@ -93,7 +93,7 @@ def _rule_chain(rule: McmtRule, root_graph: Graph, lhs: bool = True) -> GraphCha
                     else:
                         nodes[el.name] = img
                     continue
-                chain = _chain_for_block(rule, blk, el)
+                chain = rule.type_chain(el)
                 if i in chain:
                     if el.kind == "arrow":
                         arrows[el.key] = chain[i]
@@ -101,19 +101,6 @@ def _rule_chain(rule: McmtRule, root_graph: Graph, lhs: bool = True) -> GraphCha
                         nodes[el.name] = chain[i]
             taus[(j, i)] = GraphMorphism(graphs[j], graphs[i], nodes, arrows)
     return GraphChain(tuple(graphs), taus)
-
-
-def _chain_for_block(rule: McmtRule, blk, el) -> dict:
-    out = {}
-    cur = el
-    while cur is not None and cur.type is not None and cur.type.level != 0:
-        tblk = rule.block(cur.type.level)
-        tel = tblk.by_name(cur.type.name) if tblk else None
-        if tel is None:
-            break
-        out[cur.type.level] = tel.key
-        cur = tel
-    return out
 
 
 def binding_report(system: System, rule: McmtRule, model_name: str) -> str:

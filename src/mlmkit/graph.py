@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
 DEFAULT_SIZE_CAP = 64
@@ -71,6 +72,32 @@ class Graph:
         if isinstance(elem, Arrow):
             return elem in self.arrows
         return elem in self.nodes
+
+    @cached_property
+    def search_plan(self) -> tuple:
+        """How enumerate_homomorphisms walks this graph as a pattern, derived
+        once: the sorted arrows, the node order (connected nodes early, so
+        arrow constraints prune the search) and, per node position, the
+        arrows whose endpoints are both placed there."""
+        arrows = sorted(self.arrows)
+        remaining = set(self.nodes)
+        nodes: list[str] = []
+        while remaining:
+            scored = sorted(
+                remaining,
+                key=lambda n: (
+                    -sum(1 for a in arrows if {a.src, a.tgt} <= set(nodes) | {n}),
+                    n,
+                ),
+            )
+            pick = scored[0]
+            nodes.append(pick)
+            remaining.discard(pick)
+        position = {n: k for k, n in enumerate(nodes)}
+        checks_at: dict[int, list[Arrow]] = {k: [] for k in range(len(nodes))}
+        for a in arrows:
+            checks_at[max(position[a.src], position[a.tgt])].append(a)
+        return arrows, nodes, checks_at
 
 
 def graph(nodes: Iterable[str] = (), arrows: Iterable = ()) -> Graph:
@@ -477,21 +504,7 @@ def enumerate_homomorphisms(
     if g.size > cap:
         raise SizeCapExceeded(f"pattern has {g.size} elements, cap is {cap}")
 
-    arrows = sorted(g.arrows)
-    # place connected nodes early so arrow constraints prune the search
-    remaining = set(g.nodes)
-    nodes: list[str] = []
-    while remaining:
-        scored = sorted(
-            remaining,
-            key=lambda n: (
-                -sum(1 for a in arrows if {a.src, a.tgt} <= set(nodes) | {n}),
-                n,
-            ),
-        )
-        pick = scored[0]
-        nodes.append(pick)
-        remaining.discard(pick)
+    arrows, nodes, checks_at = g.search_plan
     ncands = {
         n: sorted(
             set(node_candidates[n]) & h.nodes if node_candidates and n in node_candidates else h.nodes
@@ -511,11 +524,6 @@ def enumerate_homomorphisms(
 
     # forward checking: once both endpoints of a pattern arrow are assigned,
     # some candidate image between the chosen endpoints must exist
-    position = {n: k for k, n in enumerate(nodes)}
-    checks_at: dict[int, list[Arrow]] = {k: [] for k in range(len(nodes))}
-    for a in arrows:
-        checks_at[max(position[a.src], position[a.tgt])].append(a)
-
     def assign_arrows(nmap: dict[str, str], idx: int, amap: dict[Arrow, Arrow], used: set[Arrow]):
         if idx == len(arrows):
             results.append(GraphMorphism(g, h, dict(nmap), dict(amap)))
@@ -555,6 +563,7 @@ def enumerate_homomorphisms(
             del nmap[n]
 
     assign_nodes(0, {}, set())
+    del assign_nodes, assign_arrows  # self-calling closures: free their cycle now
     results.sort(key=lambda m: (sorted(m.nodes.items()), sorted(m.arrows.items())))
     return results
 

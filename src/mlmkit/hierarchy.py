@@ -605,6 +605,7 @@ def transitive_types(system: System, model_name: str, elem) -> dict[str, object]
                 walk(ref.model, ref.elem)
 
     walk(model_name, elem)
+    del walk  # a closure that calls itself is a reference cycle: free it now
     return system.remember(ck, out, (model_name,))
 
 

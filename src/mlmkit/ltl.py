@@ -732,12 +732,24 @@ def _live(system: System, model_name: str):
     return system, {kinds[n] for n in live}, depths, now
 
 
+def _concrete_kinds(system: System, model_name: str) -> frozenset:
+    """The logic kinds of the models typing the formula that no
+    specialisation arrow points into: a node matched against such a kind
+    has exactly that kind."""
+    model = system.find_model(model_name)
+    names = {ref.model for t in model.typings.values() for ref in t.supplementary.values()}
+    logic = [system.find_model(name) for name in names]
+    kinds = set().union(*(m.graph.nodes for m in logic))
+    return frozenset(kinds - {a.tgt for m in logic for a in m.inherit_arrows})
+
+
 def rewrite_with_rules(system: System, model_name: str, rules: dict, cap: int = 4000) -> System:
     """Apply the shipped formula rules in phases: unrolling on the next-free
     region (outermost positions first, so next-state copies stay raw), boolean
     and temporal-constant folding, next removal, folding again.  Equivalent on
     unfolded terms to unroll followed by simplify_and_step.  A rule is tried
-    only while the logic type it rewrites occurs in the model.
+    only while every concrete logic kind its FROM nodes are typed by occurs
+    in the live formula; otherwise one of them has no candidate.
 
     Each application is a term graph rewrite step in three parts (Plump,
     "Term graph rewriting", 1999): apply_rule builds the new subterm and
@@ -765,6 +777,8 @@ def rewrite_with_rules(system: System, model_name: str, rules: dict, cap: int = 
                 f"(phase {phase}, last rule {name}): {render_term(to_term(system, model_name))}"
             )
 
+    concrete = _concrete_kinds(system, model_name)
+    needs = {name: rule.from_kinds & concrete for name, rule in rules.items()}
     phases = (("Unroll", True), ("Fold", False), ("DeleteNext", False), ("Fold", False))
     for phase, guarded in phases:
         names = [n for n in sorted(rules) if n.startswith(phase)]
@@ -775,7 +789,7 @@ def rewrite_with_rules(system: System, model_name: str, rules: dict, cap: int = 
                 best = None
                 for name in names:
                     rule = rules[name]
-                    if rule.rewritten_kind not in kinds_here:
+                    if not needs[name] <= kinds_here:
                         continue
                     for b in meta_bindings(system, rule, model_name):
                         for m in bind_lhs(system, rule, b, model_name):
@@ -797,9 +811,7 @@ def rewrite_with_rules(system: System, model_name: str, rules: dict, cap: int = 
                 system, kinds_here, _, _ = _live(system, model_name)
                 for name in names:
                     rule = rules[name]
-                    if rule.rewritten_kind not in kinds_here:
-                        continue
-                    while True:
+                    while needs[name] <= kinds_here:
                         m = None
                         for b in meta_bindings(system, rule, model_name):
                             hits = bind_lhs(system, rule, b, model_name)

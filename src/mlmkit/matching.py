@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import Arrow, Graph, enumerate_homomorphisms
 from .hierarchy import (
@@ -42,8 +43,13 @@ class Binding:
     f: tuple  # rule level -> stack position, f[0] = 0
     maps: tuple  # per rule level: tuple of sorted (pattern key, target key) pairs
 
+    @cached_property
+    def _level_maps(self) -> tuple:
+        return tuple(dict(m) for m in self.maps)
+
     def level_map(self, i: int) -> dict:
-        return dict(self.maps[i])
+        """The level's element map, built once per binding; read it only."""
+        return self._level_maps[i]
 
     def model_at(self, i: int) -> str:
         return self.stack[self.f[i]]
@@ -140,9 +146,7 @@ def _resolve_type(rule: McmtRule, el: PatternElement, partial_f: dict, partial_m
     lvl = el.type.level
     if lvl not in partial_maps:
         return False  # types must have been bound first
-    blk = rule.block(lvl)
-    tel = blk.by_name(el.type.name)
-    bound = partial_maps[lvl].get(tel.key)
+    bound = partial_maps[lvl].get(rule.type_key(el.type))
     if bound is None:
         return False
     return (partial_f[lvl], bound)
@@ -199,6 +203,8 @@ def graph_match(
                 return []
             if ref is not None:
                 pool = target.by_type(system, el.kind).get(ref, ())
+        if el.plain:
+            return pool
         out = []
         for x in pool:
             if el.constant and (x.name if isinstance(x, Arrow) else x) != el.name:
@@ -299,6 +305,7 @@ def match(
         return found
 
     found = recur(1, 1, {0: 0}, {0: dict(ROOT_IDENTITY)})
+    del recur  # a closure that calls itself is a reference cycle: free it now
     results.sort(key=lambda b: b.sort_key())
     return found, results
 

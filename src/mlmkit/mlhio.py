@@ -340,7 +340,9 @@ def _type_suffix(system: System, model: Model, key) -> str:
 
 
 def save_hierarchy(system: System) -> str:
-    """Canonical text for every non-built-in hierarchy of the system."""
+    """Canonical text for every non-built-in hierarchy of the system.  Each
+    model's block of text is a fact about that model, so a rewritten
+    system serializes again only the models the rewrite replaced."""
     out: list[str] = []
     hs = [system.application] + [system.supplementary[k] for k in sorted(system.supplementary)]
     for h in hs:
@@ -349,42 +351,50 @@ def save_hierarchy(system: System) -> str:
         for mname in h.model_names():
             if mname == ROOT_MODEL:
                 continue
-            m = h.models[mname]
-            out.append(f"  model {m.name} : {h.parents[m.name]} {{")
-            for n in sorted(m.graph.nodes):
-                line = f"    node {n}" + _type_suffix(system, m, n)
-                if n in m.potencies:
-                    line += f" pot {m.potencies[n]}"
-                if n in m.abstract:
-                    line += " abstract"
-                out.append(line)
-            for a in sorted(m.graph.arrows):
-                if a in m.inherit_arrows:
-                    continue
-                line = f"    arrow {a.name} : {a.src} -> {a.tgt}" + _type_suffix(system, m, a)
-                if a in m.potencies:
-                    line += f" pot {m.potencies[a]}"
-                if a in m.multiplicities and m.multiplicities[a] != DEFAULT_MULTIPLICITY:
-                    line += f" mult {m.multiplicities[a]}"
-                out.append(line)
-            for a in sorted(m.inherit_arrows):
-                out.append(f"    inherit {a.name} : {a.src} -> {a.tgt}")
-            for owner in sorted(m.attr_decls):
-                for aname in sorted(m.attr_decls[owner]):
-                    out.append(f"    attr {owner}.{aname} : {m.attr_decls[owner][aname]}")
-            for owner in sorted(m.attr_values):
-                for aname in sorted(m.attr_values[owner]):
-                    v = m.attr_values[owner][aname]
-                    if isinstance(v, bool):
-                        lit = "true" if v else "false"
-                    elif isinstance(v, str):
-                        lit = f'"{v}"'
-                    else:
-                        lit = str(v)
-                    out.append(f"    attr {owner}.{aname} = {lit}")
-            out.append("  }")
+            hit = system.cache.get(("saved", mname))
+            out.append(hit[0] if hit else _model_text(system, h, mname))
         out.append("}")
     return "\n".join(out) + "\n"
+
+
+def _model_text(system: System, h: Hierarchy, name: str) -> str:
+    """One model's block of the saved text, remembered as a fact about that
+    model: the block reads only the model and the name of its parent."""
+    m = h.models[name]
+    out = [f"  model {name} : {h.parents[name]} {{"]
+    for n in sorted(m.graph.nodes):
+        line = f"    node {n}" + _type_suffix(system, m, n)
+        if n in m.potencies:
+            line += f" pot {m.potencies[n]}"
+        if n in m.abstract:
+            line += " abstract"
+        out.append(line)
+    for a in sorted(m.graph.arrows):
+        if a in m.inherit_arrows:
+            continue
+        line = f"    arrow {a.name} : {a.src} -> {a.tgt}" + _type_suffix(system, m, a)
+        if a in m.potencies:
+            line += f" pot {m.potencies[a]}"
+        if a in m.multiplicities and m.multiplicities[a] != DEFAULT_MULTIPLICITY:
+            line += f" mult {m.multiplicities[a]}"
+        out.append(line)
+    for a in sorted(m.inherit_arrows):
+        out.append(f"    inherit {a.name} : {a.src} -> {a.tgt}")
+    for owner in sorted(m.attr_decls):
+        for aname in sorted(m.attr_decls[owner]):
+            out.append(f"    attr {owner}.{aname} : {m.attr_decls[owner][aname]}")
+    for owner in sorted(m.attr_values):
+        for aname in sorted(m.attr_values[owner]):
+            v = m.attr_values[owner][aname]
+            if isinstance(v, bool):
+                lit = "true" if v else "false"
+            elif isinstance(v, str):
+                lit = f'"{v}"'
+            else:
+                lit = str(v)
+            out.append(f"    attr {owner}.{aname} = {lit}")
+    out.append("  }")
+    return system.remember(("saved", name), "\n".join(out), (name,))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ elements are named after their pattern variables with the smallest unused
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 from .graph import (
@@ -164,8 +165,8 @@ def _bound_type(rule: McmtRule, binding: Binding, el: PatternElement) -> Optiona
     """The binding image of a pattern element's type (None: the root type)."""
     if el.type is None or el.type.level == 0:
         return None
-    tel = rule.block(el.type.level).by_name(el.type.name)
-    return TypeRef(binding.model_at(el.type.level), binding.lookup(el.type.level, tel.key))
+    level = el.type.level
+    return TypeRef(binding.model_at(level), binding.lookup(level, rule.type_key(el.type)))
 
 
 def _rewrite(
@@ -337,7 +338,7 @@ def list_applications(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwoLevelRule:
     """A concrete rule over one flattened type graph, produced from a coupled
     rule and one binding by replacing variable types with their images."""
@@ -349,11 +350,15 @@ class TwoLevelRule:
     rhs: PatternBlock
     types: dict  # pattern key -> TypeRef
 
+    @cached_property
+    def _interface(self) -> PatternBlock:
+        out = dict(self.lhs.elements)
+        for key, el in self.rhs.elements.items():
+            out.setdefault(key, el)
+        return PatternBlock(out)
+
     def interface(self) -> PatternBlock:
-        out = PatternBlock()
-        for el in list(self.lhs.elements.values()) + list(self.rhs.elements.values()):
-            out.elements.setdefault(el.key, el)
-        return out
+        return self._interface
 
     def type_graph(self) -> Graph:
         nodes, arrows = set(), set()
@@ -373,14 +378,11 @@ def proliferate(system: System, rule: McmtRule, model_name: str) -> list[TwoLeve
     out = []
     for k, b in enumerate(bindings, start=1):
         types = {}
-        iface = rule.interface()
         ok = True
-        for el in iface.elements.values():
+        for el in rule.interface().elements.values():
             if el.type is None or el.type.level == 0:
                 continue
-            blk = rule.block(el.type.level)
-            tel = blk.by_name(el.type.name)
-            bound = b.lookup(el.type.level, tel.key)
+            bound = b.lookup(el.type.level, rule.type_key(el.type))
             if bound is None:
                 ok = False
                 break
@@ -568,35 +570,31 @@ def _observed_count(system, rule, binding, model_name, el) -> int:
 def _replicate(rule: McmtRule, pivots: set, copies: int) -> McmtRule:
     """Duplicate the pivot nodes of the FROM/TO blocks (and their incident
     pattern arrows) so the pattern demands exactly `copies` instances."""
-    import copy as _copy
 
-    out = McmtRule(
-        f"{rule.name}x{copies}", list(rule.params), rule.meta, PatternBlock(), PatternBlock()
-    )
+    def copy_name(name: str, k: int) -> str:
+        return f"{name}_{k}" if name in pivots else name
 
     def clone_block(blk: PatternBlock) -> PatternBlock:
-        nb = PatternBlock()
+        out = []
         for el in blk.nodes():
-            nb.add(_copy.deepcopy(el))
+            out.append(el)
             if el.name in pivots:
-                for k in range(2, copies + 1):
-                    c = _copy.deepcopy(el)
-                    c.name = f"{el.name}_{k}"
-                    nb.add(c)
+                out += [replace(el, name=f"{el.name}_{k}") for k in range(2, copies + 1)]
         for el in blk.arrows():
-            cloned = _copy.deepcopy(el)
-            cloned.mult = None if isinstance(el.mult, str) else el.mult
-            nb.add(cloned)
+            out.append(replace(el, mult=None) if isinstance(el.mult, str) else el)
             if el.src in pivots or el.tgt in pivots:
-                for k in range(2, copies + 1):
-                    c = _copy.deepcopy(el)
-                    c.name = f"{el.name}_{k}"
-                    c.src = f"{el.src}_{k}" if el.src in pivots else el.src
-                    c.tgt = f"{el.tgt}_{k}" if el.tgt in pivots else el.tgt
-                    c.mult = None
-                    nb.add(c)
-        return nb
+                out += [
+                    replace(
+                        el,
+                        name=f"{el.name}_{k}",
+                        src=copy_name(el.src, k),
+                        tgt=copy_name(el.tgt, k),
+                        mult=None,
+                    )
+                    for k in range(2, copies + 1)
+                ]
+        return PatternBlock.of(out)
 
-    out.lhs = clone_block(rule.lhs)
-    out.rhs = clone_block(rule.rhs)
-    return out
+    return replace(
+        rule, name=f"{rule.name}x{copies}", lhs=clone_block(rule.lhs), rhs=clone_block(rule.rhs)
+    )

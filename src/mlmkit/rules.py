@@ -7,6 +7,14 @@ constants (matched by name), may carry potency or multiplicity constraints,
 attribute constraints (FROM) and attribute assignments (TO), and integer
 parameters substituted before matching.
 
+Rules, pattern blocks and pattern elements are frozen values, built once by
+the parser (or by substitution and replication, which build new ones).  Each
+keeps its compiled view, derived on first use: an element its key and
+whether it carries any clause, a block its sorted nodes and arrows, its
+graph (which keeps its own search plan) and its name index, a rule its
+interface and the typing morphisms of its blocks.  The matcher and the
+rewrite read these on every call instead of deriving them again.
+
 Grammar (two-space indent, ``//`` comments, ``;`` or newline separators)::
 
     rule NAME {
@@ -85,7 +93,7 @@ def _render_literal(v) -> str:
     return str(v)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatternElement:
     name: str
     kind: str  # "node" | "arrow"
@@ -97,51 +105,93 @@ class PatternElement:
     mult: Union[Multiplicity, str, None] = None  # Multiplicity or the symbolic "n"
     attrs: dict = field(default_factory=dict)  # attr name -> AttrValue
 
-    @property
+    @cached_property
     def key(self):
         if self.kind == "arrow":
             return Arrow(self.name, self.src, self.tgt)
         return self.name
 
+    @cached_property
+    def plain(self) -> bool:
+        """No constant, potency, multiplicity or attribute clause: every
+        target element of the right type is a candidate."""
+        return not (self.constant or self.attrs) and self.potency is None and self.mult is None
 
-@dataclass
+
+def _declare(elements: dict, el: PatternElement):
+    if el.key in elements:
+        raise RuleError(f"duplicate declaration {el.name}")
+    elements[el.key] = el
+
+
+@dataclass(frozen=True)
 class PatternBlock:
+    """One pattern level.  Its sorted elements, graph and name index are
+    derived on first use and kept."""
+
     elements: dict = field(default_factory=dict)  # key -> PatternElement
 
-    def add(self, el: PatternElement):
-        if el.key in self.elements:
-            raise RuleError(f"duplicate declaration {el.name}")
-        self.elements[el.key] = el
+    @classmethod
+    def of(cls, elements) -> PatternBlock:
+        out: dict = {}
+        for el in elements:
+            _declare(out, el)
+        return cls(out)
 
-    def nodes(self) -> list[PatternElement]:
-        return sorted(
-            (e for e in self.elements.values() if e.kind == "node"), key=lambda e: e.name
+    @cached_property
+    def _nodes(self) -> tuple:
+        return tuple(
+            sorted((e for e in self.elements.values() if e.kind == "node"), key=lambda e: e.name)
         )
 
-    def arrows(self) -> list[PatternElement]:
-        return sorted(
-            (e for e in self.elements.values() if e.kind == "arrow"),
-            key=lambda e: (e.name, e.src, e.tgt),
+    @cached_property
+    def _arrows(self) -> tuple:
+        return tuple(
+            sorted(
+                (e for e in self.elements.values() if e.kind == "arrow"),
+                key=lambda e: (e.name, e.src, e.tgt),
+            )
         )
+
+    @cached_property
+    def _graph(self) -> Graph:
+        return graph((e.name for e in self._nodes), (e.key for e in self._arrows))
+
+    @cached_property
+    def _names(self) -> dict:
+        """name -> its element; None for a name that two elements share."""
+        out: dict = {}
+        for e in self.elements.values():
+            out[e.name] = None if e.name in out else e
+        return out
+
+    def nodes(self) -> tuple[PatternElement, ...]:
+        return self._nodes
+
+    def arrows(self) -> tuple[PatternElement, ...]:
+        return self._arrows
 
     def graph(self) -> Graph:
-        return graph(
-            (e.name for e in self.nodes()),
-            ((e.name, e.src, e.tgt) for e in self.arrows()),
-        )
+        return self._graph
 
     def by_name(self, name: str) -> Optional[PatternElement]:
-        hits = [e for e in self.elements.values() if e.name == name]
-        return hits[0] if len(hits) == 1 else None
+        return self._names.get(name)
 
 
-@dataclass
+@dataclass(frozen=True)
 class McmtRule:
+    """A parsed rule: an immutable value whose interface, typing chains and
+    typing morphisms are derived on first use and kept, so matching and
+    rewriting read them instead of deriving them again."""
+
     name: str
     params: list = field(default_factory=list)
-    meta: list = field(default_factory=list)  # PatternBlock per level, index 0 = mm1
+    meta: tuple = ()  # PatternBlock per level, index 0 = mm1
     lhs: PatternBlock = field(default_factory=PatternBlock)
     rhs: PatternBlock = field(default_factory=PatternBlock)
+
+    def __post_init__(self):
+        object.__setattr__(self, "meta", tuple(self.meta))
 
     @property
     def depth(self) -> int:
@@ -155,30 +205,16 @@ class McmtRule:
         return repr(self.meta)
 
     @cached_property
-    def rewritten_kind(self) -> Optional[str]:
-        """The mm1 type of the FROM element that the arrow leaving the parent
-        position p points to, taken once per rule: the logic kind a formula
-        rule rewrites (None without such an arrow)."""
-        for el in self.lhs.arrows():
-            if el.src == "p":
-                node = self.lhs.by_name(el.tgt)
-                return node.type.name if node is not None and node.type else None
-        return None
+    def from_kinds(self) -> frozenset:
+        """The mm1 types of the FROM nodes, taken once per rule: the logic
+        kinds a formula rule's match needs."""
+        return frozenset(
+            el.type.name for el in self.lhs.nodes() if el.type is not None and el.type.level == 1
+        )
 
     def meta_level(self, k: int) -> PatternBlock:
         """Meta pattern at level k, 1-based like the mmK syntax."""
         return self.meta[k - 1]
-
-    def meta_graphs(self) -> list[Graph]:
-        """[root graph placeholder index 0] is owned by the matcher; this
-        returns the declared pattern graphs for levels 1..n."""
-        return [blk.graph() for blk in self.meta]
-
-    def element_at(self, level: int, key) -> Optional[PatternElement]:
-        blk = self.block(level)
-        if blk is None:
-            return None
-        return blk.elements.get(key)
 
     def block(self, level: int) -> Optional[PatternBlock]:
         if 1 <= level <= self.depth:
@@ -190,21 +226,20 @@ class McmtRule:
 
     # -- interface ---------------------------------------------------------
 
-    def interface(self) -> PatternBlock:
-        """Union of FROM and TO; shared names identify preserved elements."""
-        out = PatternBlock()
-        for el in list(self.lhs.elements.values()):
-            out.elements[el.key] = el
+    @cached_property
+    def _interface(self) -> PatternBlock:
+        out = dict(self.lhs.elements)
         for el in self.rhs.elements.values():
-            if el.key in out.elements:
-                prev = out.elements[el.key]
-                if (prev.type, prev.constant) != (el.type, el.constant):
-                    raise RuleError(
-                        f"element {el.name} declared differently in from and to blocks"
-                    )
-            else:
-                out.elements[el.key] = el
-        return out
+            prev = out.setdefault(el.key, el)
+            if (prev.type, prev.constant) != (el.type, el.constant):
+                raise RuleError(f"element {el.name} declared differently in from and to blocks")
+        return PatternBlock(out)
+
+    def interface(self) -> PatternBlock:
+        """Union of FROM and TO; shared names identify preserved elements.
+        Derived on first use, so that validate_rule reports FROM and TO
+        declarations that disagree."""
+        return self._interface
 
     def preserved(self) -> set:
         return set(self.lhs.elements) & set(self.rhs.elements)
@@ -217,61 +252,44 @@ class McmtRule:
 
     # -- rule-internal typing ----------------------------------------------
 
-    def type_chain_of(self, level: int, key) -> dict[int, object]:
+    def type_key(self, t: TypeExpr):
+        """Key of the meta element a type expression names; None for the
+        root type and for a name its level lacks or holds twice."""
+        blk = self.block(t.level)
+        el = None if blk is None else blk.by_name(t.name)
+        return None if el is None else el.key
+
+    def type_chain(self, el: Optional[PatternElement]) -> dict:
         """Transitive pattern types of an element: meta level -> element key,
         following declared types up to (but excluding) the root."""
-        out: dict[int, object] = {}
-        cur_level, cur_key = level, key
-        while True:
-            el = (
-                self.element_at(cur_level, cur_key)
-                if cur_level <= self.depth
-                else self._bottom_element(cur_key)
-            )
-            if el is None or el.type is None or el.type.level == ROOT_LEVEL:
+        out: dict = {}
+        t = None if el is None else el.type
+        while t is not None and t.level != ROOT_LEVEL and t.level not in out:
+            key = self.type_key(t)
+            if key is None:
                 break
-            tlevel = el.type.level
-            blk = self.meta[tlevel - 1]
-            tel = blk.by_name(el.type.name)
-            if tel is None:
-                break
-            out[tlevel] = tel.key
-            cur_level, cur_key = tlevel, tel.key
+            out[t.level] = key
+            t = self.meta[t.level - 1].elements[key].type
         return out
 
-    def _bottom_element(self, key) -> Optional[PatternElement]:
-        return self.interface().elements.get(key)
+    @cached_property
+    def _sigmas(self) -> dict:
+        return {}  # id(block) -> (block, morphisms)
 
-    def sigma(self, block: PatternBlock) -> list[GraphMorphism]:
+    def sigma(self, block: PatternBlock) -> tuple[GraphMorphism, ...]:
         """Partial typing morphisms from a block's graph into each meta level
-        graph; index 0 is the total root typing (left implicit as names)."""
-        g = block.graph()
-        out = []
-        for i in range(1, self.depth + 1):
-            mg = self.meta[i - 1].graph()
-            nodes, arrows = {}, {}
-            for el in block.elements.values():
-                chain = self._typing_chain_for(block, el)
-                if i in chain:
-                    if el.kind == "node":
-                        nodes[el.name] = chain[i] if isinstance(chain[i], str) else chain[i]
-                    else:
-                        arrows[el.key] = chain[i]
-            out.append(GraphMorphism(g, mg, nodes, arrows))
-        return out
-
-    def _typing_chain_for(self, block: PatternBlock, el: PatternElement) -> dict:
-        out: dict[int, object] = {}
-        cur = el
-        while cur is not None and cur.type is not None and cur.type.level != ROOT_LEVEL:
-            tlevel = cur.type.level
-            blk = self.meta[tlevel - 1]
-            tel = blk.by_name(cur.type.name)
-            if tel is None:
-                break
-            out[tlevel] = tel.key
-            cur = tel
-        return out
+        graph, mm1 first (the root typing is left implicit as names); derived
+        once per block."""
+        hit = self._sigmas.get(id(block))
+        if hit is None or hit[0] is not block:
+            chains = [(el, self.type_chain(el)) for el in block.elements.values()]
+            out = []
+            for i, mblk in enumerate(self.meta, start=1):
+                nodes = {el.name: c[i] for el, c in chains if i in c and el.kind == "node"}
+                arrows = {el.key: c[i] for el, c in chains if i in c and el.kind == "arrow"}
+                out.append(GraphMorphism(block.graph(), mblk.graph(), nodes, arrows))
+            hit = self._sigmas[id(block)] = (block, tuple(out))
+        return hit[1]
 
 
 # ---------------------------------------------------------------------------
@@ -323,27 +341,12 @@ def validate_rule(rule: McmtRule) -> list[str]:
             tel = tblk.by_name(el.type.name) if tblk else None
             if tel is None or tel.kind != "arrow":
                 continue
-            src_chain = rule_chain_types(rule, blk, blk.by_name(el.src))
-            tgt_chain = rule_chain_types(rule, blk, blk.by_name(el.tgt))
+            src_chain = rule.type_chain(blk.by_name(el.src))
+            tgt_chain = rule.type_chain(blk.by_name(el.tgt))
             if src_chain.get(el.type.level) is None:
                 out.append(f"{label}: arrow {el.name} dangles at source over {tel.name}")
             if tgt_chain.get(el.type.level) is None:
                 out.append(f"{label}: arrow {el.name} dangles at target over {tel.name}")
-    return out
-
-
-def rule_chain_types(rule: McmtRule, block: PatternBlock, el: Optional[PatternElement]) -> dict:
-    if el is None:
-        return {}
-    out: dict[int, str] = {}
-    cur = el
-    while cur is not None and cur.type is not None and cur.type.level != ROOT_LEVEL:
-        blk = rule.block(cur.type.level)
-        tel = blk.by_name(cur.type.name) if blk else None
-        if tel is None:
-            break
-        out[cur.type.level] = tel.name
-        cur = tel
     return out
 
 
@@ -366,19 +369,19 @@ def substitute_parameters(rule: McmtRule, bindings: dict) -> McmtRule:
         return v
 
     def subst_block(blk: PatternBlock) -> PatternBlock:
-        out = PatternBlock()
-        for key, el in blk.elements.items():
-            out.elements[key] = replace(
-                el, attrs={a: subst_value(v) for a, v in el.attrs.items()}
-            )
-        return out
+        return PatternBlock(
+            {
+                key: replace(el, attrs={a: subst_value(v) for a, v in el.attrs.items()})
+                for key, el in blk.elements.items()
+            }
+        )
 
-    return McmtRule(
-        rule.name,
-        [],
-        [subst_block(b) for b in rule.meta],
-        subst_block(rule.lhs),
-        subst_block(rule.rhs),
+    return replace(
+        rule,
+        params=[],
+        meta=[subst_block(b) for b in rule.meta],
+        lhs=subst_block(rule.lhs),
+        rhs=subst_block(rule.rhs),
     )
 
 
@@ -437,6 +440,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _lex(text)
         self.i = 0
+        self.metas: dict = {}  # meta block tokens -> the first chain parsed from them
 
     def peek(self, k: int = 0) -> Token:
         j = self.i
@@ -480,12 +484,13 @@ class _Parser:
         self.expect("rule")
         name = self.expect_kind("ident").text
         self.expect("{")
-        rule = McmtRule(name)
+        params, meta = [], []
         while self.peek().text == "param":
             self.next()
-            rule.params.append(self.expect_kind("ident").text)
+            params.append(self.expect_kind("ident").text)
             if self.peek().text == ";":
                 self.next()
+        start = self.i
         self.expect("meta")
         self.expect("{")
         expected = 1
@@ -498,28 +503,30 @@ class _Parser:
                 raise RuleError(f"meta levels must be consecutive, found {t.text}", t.line, t.col)
             expected += 1
             self.expect("{")
-            blk = PatternBlock()
-            self._parse_block_body(blk, allow_assign=False)
-            rule.meta.append(blk)
+            meta.append(self._parse_block_body())
         self.expect("}")
+        tokens = tuple(t.text for t in self.toks[start : self.i] if t.kind != "nl")
+        meta = self.metas.setdefault(tokens, tuple(meta))
         self.expect("from")
         self.expect("{")
-        self._parse_block_body(rule.lhs, allow_assign=True)
+        lhs = self._parse_block_body()
         self.expect("to")
         self.expect("{")
-        self._parse_block_body(rule.rhs, allow_assign=True)
+        rhs = self._parse_block_body()
         self.expect("}")
-        return rule
+        return McmtRule(name, params, meta, lhs, rhs)
 
-    def _parse_block_body(self, blk: PatternBlock, allow_assign: bool):
+    def _parse_block_body(self) -> PatternBlock:
+        elements: dict = {}  # key -> PatternElement, in declaration order
         while self.peek().text != "}":
             if self.peek().text == ";":
                 self.next()
                 continue
-            self._parse_statement(blk, allow_assign)
+            self._parse_statement(elements)
         self.expect("}")
+        return PatternBlock(elements)
 
-    def _parse_statement(self, blk: PatternBlock, allow_assign: bool):
+    def _parse_statement(self, elements: dict):
         name_tok = self.expect_kind("ident")
         name = name_tok.text
         # attribute clause?
@@ -528,10 +535,10 @@ class _Parser:
             attr = self.expect_kind("ident").text
             self.expect("=")
             value = self._parse_attr_value(name)
-            el = blk.by_name(name)
-            if el is None:
+            hits = [e for e in elements.values() if e.name == name]
+            if len(hits) != 1:
                 raise RuleError(f"attribute on undeclared element {name}", name_tok.line, name_tok.col)
-            el.attrs[attr] = value
+            elements[hits[0].key] = replace(hits[0], attrs={**hits[0].attrs, attr: value})
             return
         constant = False
         mult: Union[Multiplicity, str, None] = None
@@ -582,15 +589,16 @@ class _Parser:
             if potency is None and self.peek().text == "pot":
                 self.next()
                 potency = parse_potency(self._parse_potency_text())
-            blk.add(
-                PatternElement(
-                    name, "arrow", constant, type_expr, src, tgt, potency, mult
-                )
+            _declare(
+                elements,
+                PatternElement(name, "arrow", constant, type_expr, src, tgt, potency, mult),
             )
         else:
             if mult is not None:
                 raise RuleError(f"multiplicity on node {name}", name_tok.line, name_tok.col)
-            blk.add(PatternElement(name, "node", constant, type_expr, None, None, potency))
+            _declare(
+                elements, PatternElement(name, "node", constant, type_expr, None, None, potency)
+            )
 
     def _parse_potency_text(self) -> str:
         t = self.next()

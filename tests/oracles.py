@@ -524,6 +524,7 @@ def stale_facts(system, rules=()) -> list:
     that model."""
     from mlmkit import hierarchy as hy
     from mlmkit.matching import _target, meta_bindings
+    from mlmkit.mlhio import _model_text
 
     fresh = hy.System(system.application, system.supplementary, system.data)
     by_meta = {rule.meta_key: rule for rule in rules}
@@ -546,6 +547,7 @@ def stale_facts(system, rules=()) -> list:
         "reach": hy.reach,
         "validate": hy.validate_hierarchy,
         "meta": lambda s, model, meta_key: meta_bindings(s, by_meta[meta_key], model),
+        "saved": lambda s, model: _model_text(s, s.hierarchy_of(model), model),
     }
     for condition, check in checks.items():
         derive[condition] = lambda s, model, *args, check=check: tuple(

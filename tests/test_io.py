@@ -422,3 +422,29 @@ def test_commands_that_walk_typings_report_a_typing_cycle(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out == "[typing] a/X: type Y@b not strictly above in the typing chain\n"
+
+
+@pytest.mark.parametrize(
+    "param, message",
+    [
+        ("x=abc", "error: --param x=abc: 'abc' is not an integer\n"),
+        ("x", "error: --param x: expected NAME=INTEGER\n"),
+        ("zz=3", "error: rule StepTime has no parameter zz\n"),
+    ],
+)
+def test_cli_bad_param_is_one_line_and_exit_two(capsys, param, message):
+    code = main(
+        [
+            "match",
+            str(FIXTURES / "robolang.mlh"),
+            str(FIXTURES / "robolang.mcmt"),
+            "--rule",
+            "StepTime",
+            "--model",
+            "robot_1_run_1",
+            "--param",
+            param,
+        ]
+    )
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", message)

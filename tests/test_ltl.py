@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from mlmkit import matching
+from mlmkit import ltl, matching
 from mlmkit.graph import graph
 from mlmkit.hierarchy import System, validate_hierarchy
 from mlmkit.ltl import (
+    NODE_TO_OP,
     formula_system,
     fragment_holds,
     monitor_step,
@@ -292,3 +293,36 @@ def test_eventually_next_true_folds_to_true(ltl_rules):
     t = parse_formula("F X true")
     out = rewrite_with_rules(formula_system(t), "property", ltl_rules)
     assert to_term(out, "property") == term_step(t) == ("const", True)
+
+
+def test_kind_check_skips_only_rules_without_a_match(ltl_rules, monkeypatch):
+    """At every sweep of the rule-driven rewriting, each rule whose FROM
+    nodes need a concrete logic kind that no live node has gives no match,
+    so skipping it changes nothing: criterion 8's 100 formulas and 100
+    draws of the generator with atoms and release."""
+    live = ltl._live
+    tally = {"sweeps": 0, "skipped": 0}
+
+    def checked(system, model_name):
+        out = live(system, model_name)
+        system, kinds_here = out[0], out[1]
+        concrete = ltl._concrete_kinds(system, model_name)
+        assert concrete == {"Root", "Atomic", "True", "False"} | set(NODE_TO_OP)
+        tally["sweeps"] += 1
+        for rule in ltl_rules.values():
+            if rule.from_kinds & concrete <= kinds_here:
+                continue
+            tally["skipped"] += 1
+            for b in matching.meta_bindings(system, rule, model_name):
+                assert bind_lhs(system, rule, b, model_name) == [], rule.name
+        return out
+
+    monkeypatch.setattr(ltl, "_live", checked)
+    criterion_8, with_atoms = random.Random(42), random.Random(9)
+    terms = [_random_term(criterion_8, criterion_8.randint(1, 4)) for _ in range(100)]
+    terms += [
+        _random_term(with_atoms, with_atoms.randint(1, 4), WITH_ATOMS_OPS) for _ in range(100)
+    ]
+    for t in terms:
+        rewrite_with_rules(formula_system(t), "property", ltl_rules)
+    assert tally["skipped"] > tally["sweeps"]

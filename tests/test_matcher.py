@@ -211,7 +211,7 @@ def test_bind_lhs_after_preparation(robolang_system, robolang_rules):
 def test_alpha_invariance(fragment_system, robolang_rules):
     """Consistently renaming pattern variables yields a bijection on
     bindings."""
-    import copy
+    from dataclasses import replace
 
     from mlmkit.rules import PatternBlock
 
@@ -219,19 +219,20 @@ def test_alpha_invariance(fragment_system, robolang_rules):
     renaming = {"X": "Alpha", "Y": "Beta", "T": "Theta", "I": "Iota"}
 
     def rename_block(blk):
-        out = PatternBlock()
+        out = []
         for el in list(blk.nodes()) + list(blk.arrows()):
-            c = copy.deepcopy(el)
+            c = el
             if not c.constant:
-                c.name = renaming.get(c.name, c.name)
+                c = replace(c, name=renaming.get(c.name, c.name))
             if c.src:
-                c.src = renaming.get(c.src, c.src)
+                c = replace(c, src=renaming.get(c.src, c.src))
             if c.tgt:
-                c.tgt = renaming.get(c.tgt, c.tgt)
+                c = replace(c, tgt=renaming.get(c.tgt, c.tgt))
             if c.type is not None and c.type.level > 0:
-                c.type = type(c.type)(c.type.level, renaming.get(c.type.name, c.type.name))
-            out.add(c)
-        return out
+                renamed_type = renaming.get(c.type.name, c.type.name)
+                c = replace(c, type=type(c.type)(c.type.level, renamed_type))
+            out.append(c)
+        return PatternBlock.of(out)
 
     renamed = type(ft)(
         "Renamed",

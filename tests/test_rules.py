@@ -1,6 +1,9 @@
 import pytest
 
+from mlmkit.graph import Arrow, GraphMorphism, graph
 from mlmkit.hierarchy import Multiplicity
+from mlmkit.matching import bind_lhs, match_for_model
+from mlmkit.rewrite import expand_cardinality_variants, proliferate
 from mlmkit.rules import (
     RuleError,
     parse_rules,
@@ -9,7 +12,7 @@ from mlmkit.rules import (
     substitute_parameters,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_fixture, load_rule_file
 
 
 def test_fire_transition_shape(robolang_rules):
@@ -187,6 +190,12 @@ def test_type_compatibility_of_interface_inclusions(robolang_rules):
                 assert si.arrows.get(key) == value
 
 
+def test_self_typed_meta_element_is_reported():
+    text = "rule R { meta { mm1 { A : A @ mm1 ; f : f @ mm1 (A -> A) } } from { } to { } }"
+    with pytest.raises(RuleError, match="A typed from level mm1, which is not above it"):
+        parse_rules(text)
+
+
 def test_duplicate_rule_names_rejected():
     text = "rule A { meta { mm1 { N$ } } from { } to { } }\n" * 2
     with pytest.raises(RuleError):
@@ -205,3 +214,150 @@ def test_interface_typing_restricts_exactly(robolang_rules, pls_rules):
                 for sb, si in zip(sig_b, sig_i):
                     for key in blk.elements:
                         assert sb.get(key) == si.get(key)
+
+
+# ---------------------------------------------------------------------------
+# Compiled views
+# ---------------------------------------------------------------------------
+
+
+def _scan(block, name):
+    hits = [e for e in block.elements.values() if e.name == name]
+    return hits[0] if len(hits) == 1 else None
+
+
+def _key(el):
+    return Arrow(el.name, el.src, el.tgt) if el.kind == "arrow" else el.name
+
+
+def _fresh_graph(block):
+    els = list(block.elements.values())
+    return graph(
+        (e.name for e in els if e.kind == "node"),
+        ((e.name, e.src, e.tgt) for e in els if e.kind == "arrow"),
+    )
+
+
+def _fresh_search_order(g):
+    """Connected nodes first, then by name; each arrow checked where its
+    later endpoint is placed."""
+    arrows = sorted(g.arrows)
+    nodes, remaining = [], set(g.nodes)
+    while remaining:
+        pick = min(
+            remaining,
+            key=lambda n: (-sum(1 for a in arrows if {a.src, a.tgt} <= set(nodes) | {n}), n),
+        )
+        nodes.append(pick)
+        remaining.discard(pick)
+    checks = {
+        k: [a for a in arrows if max(nodes.index(a.src), nodes.index(a.tgt)) == k]
+        for k in range(len(nodes))
+    }
+    return arrows, nodes, checks
+
+
+def _check_block(block):
+    els = list(block.elements.values())
+    assert list(block.nodes()) == sorted(
+        (e for e in els if e.kind == "node"), key=lambda e: e.name
+    )
+    assert list(block.arrows()) == sorted(
+        (e for e in els if e.kind == "arrow"), key=lambda e: (e.name, e.src, e.tgt)
+    )
+    assert block.graph() == _fresh_graph(block)
+    assert block.graph().search_plan == _fresh_search_order(_fresh_graph(block))
+    for name in {e.name for e in els} | {"no-such-element"}:
+        assert block.by_name(name) is _scan(block, name)
+    for key, el in block.elements.items():
+        assert el.key == _key(el) == key
+        assert el.plain == (
+            not el.constant and el.potency is None and el.mult is None and not el.attrs
+        )
+
+
+def _fresh_sigma(rule, block):
+    out = []
+    for i in range(1, rule.depth + 1):
+        nodes, arrows = {}, {}
+        for el in block.elements.values():
+            chain, cur = {}, el
+            while cur is not None and cur.type is not None and cur.type.level != 0:
+                tel = _scan(rule.meta[cur.type.level - 1], cur.type.name)
+                if tel is None:
+                    break
+                chain[cur.type.level] = _key(tel)
+                cur = tel
+            if i in chain:
+                if el.kind == "node":
+                    nodes[el.name] = chain[i]
+                else:
+                    arrows[_key(el)] = chain[i]
+        meta_graph = _fresh_graph(rule.meta[i - 1])
+        out.append(GraphMorphism(_fresh_graph(block), meta_graph, nodes, arrows))
+    return out
+
+
+def _fresh_interface(rule):
+    out = {_key(el): el for el in rule.lhs.elements.values()}
+    for el in rule.rhs.elements.values():
+        out.setdefault(_key(el), el)
+    return out
+
+
+def _check_rule(rule):
+    iface = rule.interface()
+    assert iface.elements == _fresh_interface(rule)
+    assert rule.interface() is iface
+    for block in (*rule.meta, rule.lhs, rule.rhs, iface):
+        _check_block(block)
+        assert list(rule.sigma(block)) == _fresh_sigma(rule, block)
+    assert rule.from_kinds == {
+        el.type.name
+        for el in rule.lhs.elements.values()
+        if el.kind == "node" and el.type is not None and el.type.level == 1
+    }
+
+
+# every pairing of hierarchy and rule file, with the models rules are applied to
+COMPILED_PAIRINGS = [
+    ("robolang.mlh", "robolang.mcmt", ("robot_1_run_1",)),
+    ("robolang_ltl.mlh", "ltl.mcmt", ("robot_1_run_1",)),
+    ("pls.mlh", "pls.mcmt", ("hammer_config", "stool_config")),
+    ("pls.mlh", "pls_prefix.mcmt", ("hammer_config", "stool_config")),
+    ("agents.mlh", "agents.mcmt", ("duo_run",)),
+]
+
+
+def test_compiled_views_equal_a_fresh_derivation():
+    """Every rule of the fixtures, and every rule made from one (parameter
+    substitution, cardinality replication, proliferation), after being
+    matched: each view it keeps equals the view derived afresh by linear
+    scans, in the same order."""
+    seen = {"rules": 0, "substituted": 0, "replicated": 0, "proliferated": 0}
+    for hier, rule_file, models in COMPILED_PAIRINGS:
+        system = load_fixture(hier)
+        for rule in load_rule_file(rule_file).values():
+            seen["rules"] += 1
+            if rule.params:
+                rule = substitute_parameters(rule, {p: 1 for p in rule.params})
+                seen["substituted"] += 1
+            for model in models:
+                _, bindings = match_for_model(system, rule, model)
+                for b in bindings:
+                    bind_lhs(system, rule, b, model)
+                    for variant in expand_cardinality_variants(system, rule, b, model):
+                        if variant is not rule:
+                            seen["replicated"] += 1
+                            for vb in match_for_model(system, variant, model)[1]:
+                                bind_lhs(system, variant, vb, model)
+                            _check_rule(variant)
+                for tlr in proliferate(system, rule, model):
+                    seen["proliferated"] += 1
+                    for block in (tlr.lhs, tlr.rhs, tlr.interface()):
+                        _check_block(block)
+                    assert tlr.interface().elements == _fresh_interface(tlr)
+            _check_rule(rule)
+    shipped = ("robolang.mcmt", "pls.mcmt", "pls_prefix.mcmt", "agents.mcmt", "ltl.mcmt")
+    assert seen["rules"] == sum(len(load_rule_file(f)) for f in shipped)
+    assert seen["substituted"] and seen["replicated"] and seen["proliferated"]

@@ -1,8 +1,10 @@
 import io
+from collections import Counter
 
 import pytest
 
-from mlmkit.hierarchy import transitive_types
+from mlmkit import mlhio, simulate
+from mlmkit.hierarchy import System, transitive_types
 from mlmkit.matching import bind_lhs, match_for_model
 from mlmkit.mlhio import save_hierarchy
 from mlmkit.rewrite import apply_rule
@@ -242,3 +244,36 @@ def test_agent_behaviour_blocked_while_flag_raised():
         m.mu_map()["a"] for b in bs for m in bind_lhs(system, rule, b, "duo_run")
     ]
     assert acting[0] not in remaining
+
+
+def test_snapshot_hash_serializes_again_only_the_rewritten_model(
+    robolang_system, robolang_rules, monkeypatch
+):
+    """A trace entry hashes the text of the whole hierarchy, but each model's
+    block of text is a fact about that model: over ten passes every other
+    model is serialized once, the rewritten model once per new value of it,
+    and every hash equals the hash taken on a cache-free copy."""
+    text_of, hash_of = mlhio._model_text, simulate.snapshot_hash
+    serialized, fresh = Counter(), []
+
+    def counted(system, h, name):
+        if not fresh:
+            serialized[name] += 1
+        return text_of(system, h, name)
+
+    def checked(system):
+        got = hash_of(system)
+        fresh.append(System(system.application, system.supplementary, system.data))
+        assert got == hash_of(fresh[-1])
+        fresh.pop()
+        return got
+
+    monkeypatch.setattr(mlhio, "_model_text", counted)
+    monkeypatch.setattr(simulate, "snapshot_hash", checked)
+    _, trace = run(robolang_system, "robot_1_run_1", robolang_rules, layers(), steps=10, seed=1)
+    applied = [e for e in trace.entries if not e.rule.endswith("!rejected")]
+    saved = [robolang_system.application, *robolang_system.supplementary.values()]
+    others = {name for h in saved for name in h.model_names()} - {"robot_1_run_1", "root"}
+    assert applied and others
+    assert {name: serialized[name] for name in others} == {name: 1 for name in others}
+    assert serialized["robot_1_run_1"] <= len(applied) + 1
