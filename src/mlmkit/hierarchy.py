@@ -161,6 +161,13 @@ class Model:
     def multiplicity(self, arrow: Arrow) -> Multiplicity:
         return self.multiplicities.get(arrow, DEFAULT_MULTIPLICITY)
 
+    def type_rest_by_root(self) -> None:
+        """Give every element without an own type the root type of its kind."""
+        for e in self.graph.elements():
+            t = self.typing(e)
+            if t.own is None:
+                t.own = TypeRef(ROOT_MODEL, ROOT_ARROW if isinstance(e, Arrow) else ROOT_NODE)
+
 
 def _root_model() -> Model:
     g = graph([ROOT_NODE], [ROOT_ARROW])
@@ -193,16 +200,7 @@ class Hierarchy:
             raise ValueError(f"unknown parent {parent}")
         self.models[model.name] = model
         self.parents[model.name] = parent
-        # fill in default typings: nodes default to the root node type,
-        # arrows (except inheritance) to the root arrow type
-        for n in model.graph.nodes:
-            t = model.typing(n)
-            if t.own is None:
-                t.own = TypeRef(ROOT_MODEL, ROOT_NODE)
-        for a in model.graph.arrows:
-            t = model.typing(a)
-            if t.own is None:
-                t.own = TypeRef(ROOT_MODEL, ROOT_ARROW)
+        model.type_rest_by_root()
         return model
 
     def __contains__(self, name: str) -> bool:
@@ -324,12 +322,22 @@ class System:
     such a fact never read X.  Clearing the cache drops the facts and what
     they read alike.  Validation is assembled from such facts, one per model
     and condition check, so after a rewrite only the parts that read the
-    rewritten model are computed again."""
+    rewritten model are computed again.  Every model name but the root's
+    is held by one hierarchy, so a name says which model a fact read."""
 
     application: Hierarchy
     supplementary: dict = field(default_factory=dict)  # name -> Hierarchy
     data: Hierarchy = field(default_factory=make_data_hierarchy)
     cache: dict = field(default_factory=dict, repr=False)  # key -> (value, about)
+
+    def __post_init__(self):
+        owners: dict = {}
+        for h in self.hierarchies():
+            for name in h.models:
+                if name != ROOT_MODEL and owners.setdefault(name, h) is not h:
+                    raise ValueError(
+                        f"model {name} is held by hierarchies {owners[name].name} and {h.name}"
+                    )
 
     def hierarchies(self) -> Iterator[Hierarchy]:
         yield self.application
@@ -338,9 +346,15 @@ class System:
         yield self.data
 
     def hierarchy_of(self, model_name: str) -> Hierarchy:
-        for h in self.hierarchies():
+        """The one hierarchy holding the model; for the root, which every
+        hierarchy holds, the application hierarchy."""
+        if model_name in self.application.models:
+            return self.application
+        for h in self.supplementary.values():
             if model_name in h.models:
                 return h
+        if model_name in self.data.models:
+            return self.data
         raise KeyError(f"model {model_name} not in any hierarchy")
 
     def find_model(self, model_name: str) -> Model:
@@ -532,55 +546,16 @@ def effective_potency(system: System, model_name: str, elem, _path=frozenset()) 
 # ---------------------------------------------------------------------------
 
 
-def _chain_types(h: Hierarchy, system: System, model_name: str, elem) -> dict[str, object]:
-    """Transitive types of an element at each model of its own typing chain,
-    following own-dimension typing only (no inheritance)."""
-    out: dict[str, object] = {}
-    cur_model, cur = model_name, elem
-    while True:
-        m = h.models[cur_model]
-        t = m.typings.get(cur)
-        if not t or not t.own:
-            break
-        ref = t.own
-        if ref.model == cur_model:  # self-defining root
-            break
-        if ref.model in out:
-            break
-        out[ref.model] = ref.elem
-        cur_model, cur = ref.model, ref.elem
-    return out
-
-
 def domain_of_definition(
     system: System, h: Hierarchy, j_model: str, i_model: str
 ) -> tuple[SubgraphRef, GraphMorphism]:
     """The subgraph of G_j of elements with a transitive type in G_i, together
-    with the total typing morphism from it into G_i.  Memoized when h is the
-    hierarchy that owns the name j_model."""
-    ck = ("domain", j_model, i_model)
-    owned = system.hierarchy_of(j_model) is h
-    hit = system.cache.get(ck) if owned else None
-    if hit is not None:
-        return hit[0]
-    chain_names = [m.name for m in h.typing_chain(j_model)]
-    if i_model not in chain_names[1:]:
+    with the total typing morphism from it into G_i, for G_i strictly above
+    G_j in h: the definedness of domain_between and that morphism."""
+    if i_model not in [m.name for m in h.typing_chain(j_model)[1:]]:
         raise ValueError(f"{i_model} is not strictly above {j_model}")
-    mj = h.models[j_model]
-    mi = h.models[i_model]
-    node_map: dict[str, str] = {}
-    arrow_map: dict[Arrow, Arrow] = {}
-    for n in sorted(mj.graph.nodes):
-        types = _chain_types(h, system, j_model, n)
-        if i_model in types:
-            node_map[n] = types[i_model]
-    for a in sorted(mj.graph.arrows):
-        types = _chain_types(h, system, j_model, a)
-        if i_model in types:
-            arrow_map[a] = types[i_model]
-    dom = SubgraphRef(mj.graph, frozenset(node_map), frozenset(arrow_map))
-    tau = GraphMorphism(mj.graph, mi.graph, node_map, arrow_map)
-    return system.remember(ck, (dom, tau), (j_model, i_model)) if owned else (dom, tau)
+    tau = domain_between(system, j_model, i_model)
+    return tau.definedness(), tau
 
 
 def transitive_types(system: System, model_name: str, elem) -> dict[str, object]:
@@ -611,8 +586,8 @@ def transitive_types(system: System, model_name: str, elem) -> dict[str, object]
 
 def domain_between(system: System, j_model: str, i_model: str) -> GraphMorphism:
     """Partial typing morphism from one model's graph into another model's
-    graph, defined on the elements with a transitive type there; works across
-    dimensions (unlike domain_of_definition, which stays in one hierarchy)."""
+    graph, defined on the elements with a transitive type there, in any
+    dimension."""
     ck = ("dom", j_model, i_model)
     hit = system.cache.get(ck)
     if hit is not None:
@@ -672,16 +647,10 @@ def _per_model(system: System, condition: str, part, *args) -> list[Violation]:
     model's part.  A part reads its model, the model's typing chain, the
     models their typings reach and the shape of the hierarchy tree, which
     replace_model keeps; so it is memoized about the typing chain, and a
-    rewrite recomputes only the parts that read the rewritten model.  A model
-    whose name an earlier hierarchy owns is checked afresh each time."""
+    rewrite recomputes only the parts that read the rewritten model."""
     out: list[Violation] = []
-    owned: set = set()
     for h in system.hierarchies():
         for m in _user_models(h):
-            if m.name in owned:
-                out += part(system, h, m, *args)
-                continue
-            owned.add(m.name)
             ck = (condition, m.name, *args)
             found = system.cache.get(ck, (None,))[0]
             if found is None:
@@ -793,9 +762,9 @@ def _uniqueness_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
         j = chain[jdx]
         for idx in range(jdx + 1, len(chain)):
             i = chain[idx]
-            _, tau_kj = domain_of_definition(system, h, k, j)
-            _, tau_ji = domain_of_definition(system, h, j, i)
-            _, tau_ki = domain_of_definition(system, h, k, i)
+            tau_kj = domain_between(system, k, j)
+            tau_ji = domain_between(system, j, i)
+            tau_ki = domain_between(system, k, i)
             composed = compose_partial(tau_kj, tau_ji)
             if not partial_leq(composed, tau_ki):
                 bad = sorted(

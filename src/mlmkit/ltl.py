@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from .graph import Arrow, enumerate_homomorphisms, graph
+from .graph import Arrow, graph
 from .hierarchy import (
     APPLICATION,
     ROOT_MODEL,
@@ -23,9 +23,10 @@ from .hierarchy import (
     SUPPLEMENTARY,
     System,
     TypeRef,
-    transitive_types,
 )
+from .matching import typed_matches
 from .rewrite import _survivors
+from .rules import PatternBlock, PatternElement
 
 UNARY_OPS = {"not": "Not", "X": "X", "F": "F", "G": "G"}
 BINARY_OPS = {"and": "And", "or": "Or", "impl": "Implication", "U": "U", "R": "R"}
@@ -226,6 +227,7 @@ def build_formula_model(
         return me
 
     top = emit(term)
+    del emit  # a closure that calls itself is a reference cycle: free it now
     nodes.append("r0")
     supp("r0", "Root")
     ra = Arrow("rootf0", "r0", top)
@@ -246,29 +248,27 @@ def formula_system(term, fragments: dict | None = None) -> System:
 
 
 def _structure(system: System, model: Model):
-    """root node, child maps and logic kinds for a formula model."""
+    """Logic kinds, child maps and root node (None without a root marker) of
+    a formula model."""
     kinds = {n: _ltl_kind(system, model, n) for n in model.graph.nodes}
     out: dict[str, dict[str, str]] = {n: {} for n in model.graph.nodes}
-    parents: dict[str, list] = {n: [] for n in model.graph.nodes}
     root = None
     for a in model.plain_arrows():
         kind = _ltl_kind(system, model, a)
         if not isinstance(kind, Arrow):
             continue
-        slot = kind.name
-        if slot == "rootf":
+        if kind.name == "rootf":
             root = a.tgt
-            continue
-        out[a.src][slot] = a.tgt
-        parents[a.tgt].append((a.src, slot, a))
-    return kinds, out, parents, root
+        else:
+            out[a.src][kind.name] = a.tgt
+    return kinds, out, root
 
 
 def to_term(system: System, model_name: str):
     """Unfold the model from its root into a term; shared subgraphs are
     duplicated, unreachable junk ignored."""
     model = system.find_model(model_name)
-    kinds, children, _, root = _structure(system, model)
+    kinds, children, root = _structure(system, model)
     if root is None:
         raise ValueError(f"{model_name} has no root formula")
 
@@ -292,7 +292,9 @@ def to_term(system: System, model_name: str):
             )
         raise ValueError(f"node {n} is not a formula element (kind {k})")
 
-    return walk(root)
+    term = walk(root)
+    del walk  # a closure that calls itself is a reference cycle: free it now
+    return term
 
 
 # ---------------------------------------------------------------------------
@@ -351,18 +353,16 @@ class _Builder:
         self.out.typing(a).supplementary[self.supp_hier] = TypeRef(self.supp_hier, kind)
         return a
 
-    def finish(self) -> System:
-        from .hierarchy import ROOT_ARROW, ROOT_NODE
+    def kind_of(self, n: str):
+        """The logic kind of a node already built."""
+        t = self.out.typings.get(n)
+        if not t or not t.supplementary:
+            return None
+        return next(iter(t.supplementary.values())).elem
 
+    def finish(self) -> System:
         self.out.graph = graph(self.nodes, self.arrows)
-        for n in self.out.graph.nodes:
-            t = self.out.typing(n)
-            if t.own is None:
-                t.own = TypeRef(ROOT_MODEL, ROOT_NODE)
-        for a in self.out.graph.arrows:
-            t = self.out.typing(a)
-            if t.own is None:
-                t.own = TypeRef(ROOT_MODEL, ROOT_ARROW)
+        self.out.type_rest_by_root()
         return self.system.replace_model(self.out)
 
 
@@ -371,21 +371,11 @@ def unroll(system: System, model_name: str) -> System:
     is split into its now-part and a next-state copy; subformulas are copied
     so later evaluation cannot corrupt the residual."""
     model = system.find_model(model_name)
-    kinds, children, _, root = _structure(system, model)
+    kinds, children, root = _structure(system, model)
     b = _Builder(system, model)
 
     def copy_subtree(n: str) -> str:
-        k = kinds[n]
-        me = b.fresh(k)
-        if n in model.attr_values:
-            b.out.attr_values[me] = dict(model.attr_values[n])
-        own = model.typings.get(n)
-        if own and own.own:
-            b.out.typing(me).own = own.own
-        for slot in ("formula", "left", "right"):
-            if slot in children.get(n, {}):
-                b.link(me, copy_subtree(children[n][slot]), slot)
-        return me
+        return _copy_any(b, model, kinds, children, n)
 
     def walk(n: str) -> str:
         # guarded normal form: temporal operators outside an X expand, the
@@ -457,6 +447,7 @@ def unroll(system: System, model_name: str) -> System:
     if root is None:
         raise ValueError("no root formula")
     top = walk(root)
+    del walk  # a closure that calls itself is a reference cycle: free it now
     r0 = b.fresh("Root")
     b.link(r0, top, "rootf")
     return b.finish()
@@ -466,7 +457,7 @@ def evaluate_atomics(system: System, model_name: str, snapshot: str) -> System:
     """Replace each atomic proposition outside the next-operator region by the
     truth of matching its embedded fragment against the snapshot."""
     model = system.find_model(model_name)
-    kinds, children, _, root = _structure(system, model)
+    kinds, children, root = _structure(system, model)
     b = _Builder(system, model)
 
     def protected_walk(n: str) -> str:  # under X: copy verbatim
@@ -493,6 +484,7 @@ def evaluate_atomics(system: System, model_name: str, snapshot: str) -> System:
         return _copy_any(b, model, kinds, children, n)
 
     top = walk(root)
+    del walk  # a closure that calls itself is a reference cycle: free it now
     r0 = b.fresh("Root")
     b.link(r0, top, "rootf")
     return b.finish()
@@ -513,41 +505,29 @@ def _copy_any(b: _Builder, model, kinds, children, n: str) -> str:
 
 def fragment_holds(system: System, model_name: str, atomic: str, snapshot: str) -> bool:
     """Match the atomic node's embedded pattern fragment (its application-typed
-    projection) into the snapshot; an empty fragment holds trivially."""
+    projection) into the snapshot, each element's image typed by the
+    element's own type; an empty fragment holds trivially."""
     model = system.find_model(model_name)
-    snap = system.find_model(snapshot)
     frag = _fragment_elements(system, model, atomic)
     if not frag:
         return True
-    pattern = graph(
-        (n for n in frag if isinstance(n, str)),
-        (a for a in frag if isinstance(a, Arrow)),
+    pattern = PatternBlock.of(
+        PatternElement(e.name, "arrow", src=e.src, tgt=e.tgt)
+        if isinstance(e, Arrow)
+        else PatternElement(e, "node")
+        for e in frag
     )
-    cands_n = {}
-    cands_a = {}
-    for e in frag:
-        want = model.typings[e].own
-        pool = []
-        targets = snap.graph.nodes if isinstance(e, str) else snap.graph.arrows
-        for x in sorted(targets):
-            if transitive_types(system, snapshot, x).get(want.model) == want.elem:
-                pool.append(x)
-        if not pool:
-            return False
-        if isinstance(e, str):
-            cands_n[e] = pool
-        else:
-            cands_a[e] = pool
-    hits = enumerate_homomorphisms(
-        pattern, snap.graph, injective=True, node_candidates=cands_n, arrow_candidates=cands_a
-    )
-    return bool(hits)
+
+    def type_of(el: PatternElement):
+        own = model.typings[el.key].own
+        return (own.model, own.elem)
+
+    return bool(typed_matches(system, pattern, snapshot, type_of))
 
 
 def _fragment_elements(system: System, model: Model, atomic: str):
     """Application-typed elements connected to the atomic node (including it),
     via application-typed arrows."""
-    from .hierarchy import ROOT_NODE, ROOT_ARROW
 
     def app_typed(key) -> bool:
         t = model.typings.get(key)
@@ -645,48 +625,23 @@ def _fold(kinds, children, b, model, n: str, strip_x: bool) -> str:
     return _copy_any(b, model, kinds, children, n)
 
 
-class _FoldBuilder(_Builder):
-    def kind_of(self, n: str):
-        t = self.out.typings.get(n)
-        if not t or not t.supplementary:
-            return None
-        ref = next(iter(t.supplementary.values()))
-        return ref.elem
-
-
 def simplify_and_step(system: System, model_name: str) -> System:
     """Fold boolean constants, then strip every next operator so the residual
     is ready for the following snapshot."""
     model = system.find_model(model_name)
-    kinds, children, _, root = _structure(system, model)
-    b = _FoldBuilder(system, model)
+    kinds, children, root = _structure(system, model)
+    b = _Builder(system, model)
     folded = _fold(kinds, children, b, model, root, strip_x=False)
-    # second phase on the folded structure: strip X operators
+    # second phase on the folded structure, which has no root marker yet:
+    # strip X operators
     interim = b.finish()
     model2 = interim.find_model(model_name)
-    # re-add the root for the interim model
-    kinds2 = {n: _ltl_kind(interim, model2, n) for n in model2.graph.nodes}
-    b2 = _FoldBuilder(interim, model2)
-    kinds2b, children2, _, _ = _structure_no_root(interim, model2)
-    stripped = _fold(kinds2b, children2, b2, model2, folded, strip_x=True)
+    b2 = _Builder(interim, model2)
+    kinds2, children2, _ = _structure(interim, model2)
+    stripped = _fold(kinds2, children2, b2, model2, folded, strip_x=True)
     r0 = b2.fresh("Root")
     b2.link(r0, stripped, "rootf")
     return b2.finish()
-
-
-def _structure_no_root(system, model):
-    kinds = {n: _ltl_kind(system, model, n) for n in model.graph.nodes}
-    children: dict[str, dict[str, str]] = {n: {} for n in model.graph.nodes}
-    parents: dict[str, list] = {n: [] for n in model.graph.nodes}
-    for a in model.plain_arrows():
-        kind = _ltl_kind(system, model, a)
-        if not isinstance(kind, Arrow):
-            continue
-        if kind.name == "rootf":
-            continue
-        children[a.src][kind.name] = a.tgt
-        parents[a.tgt].append((a.src, kind.name, a))
-    return kinds, children, parents, None
 
 
 def monitor_step(system: System, model_name: str, snapshot: str) -> System:
@@ -713,7 +668,7 @@ def _live(system: System, model_name: str):
     and the nodes reached without crossing a next operator, next operators
     excluded."""
     model = system.find_model(model_name)
-    kinds, children, _, root = _structure(system, model)
+    kinds, children, root = _structure(system, model)
     depths = {n: -1 for n, k in kinds.items() if k == "Root"}
     now = set(depths)
     walk = [(root, 0, True)]

@@ -7,7 +7,9 @@ graph homomorphism found by a candidate-pruned backtracking search; a direct
 typing edge in the pattern may match a transitive typing path in the target.
 The left-hand side is then matched into the target model under the same
 regime plus attribute constraints, and the whole family is re-checked for
-type compatibility level by level.
+type compatibility level by level.  Proliferated rules and the pattern
+fragments of temporal formulas are matched by the same search, typed_matches,
+with their element types read from their own concrete typings.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from .graph import Arrow, Graph, enumerate_homomorphisms
 from .hierarchy import (
@@ -189,16 +192,39 @@ def graph_match(
     attrs_matter: bool = False,
     structural: bool = False,
 ) -> list[dict]:
-    """All injective, constraint-respecting matches of one pattern level into
-    one target model, in canonical order.  Structural mode keeps only the
+    """All injective, constraint-respecting matches of one level of a coupled
+    rule into one target model, its types resolved through the partial
+    binding of the levels above."""
+    return typed_matches(
+        system,
+        block,
+        target_model_name,
+        lambda el: _resolve_type(rule, el, partial_f, partial_maps),
+        attrs_matter,
+        structural,
+    )
+
+
+def typed_matches(
+    system: System,
+    block: PatternBlock,
+    model_name: str,
+    type_of: Callable[[PatternElement], object],
+    attrs_matter: bool = False,
+    structural: bool = False,
+) -> list[dict]:
+    """All injective, constraint-respecting matches of a pattern block into
+    one model, in canonical order.  type_of gives the (model, element) an
+    element's image must have as a transitive type, inheritance included:
+    None for any, False for no candidate.  Structural mode keeps only the
     shape, constant and injectivity requirements (used for diagnostics)."""
-    target = _target(system, target_model_name)
+    target = _target(system, model_name)
     model = target.model
 
     def candidates(el: PatternElement):
         pool = target.pools[el.kind]
         if not structural:
-            ref = _resolve_type(rule, el, partial_f, partial_maps)
+            ref = type_of(el)
             if ref is False:
                 return []
             if ref is not None:
@@ -246,13 +272,7 @@ def graph_match(
         node_candidates=node_candidates,
         arrow_candidates=arrow_candidates,
     )
-    out = []
-    for m in hits:
-        assignment = {}
-        assignment.update(m.nodes)
-        assignment.update(m.arrows)
-        out.append(assignment)
-    return out
+    return [{**m.nodes, **m.arrows} for m in hits]
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .hierarchy import (
     System,
     TypeRef,
     elem_str,
+    make_data_hierarchy,
     parse_potency,
 )
 from .rules import RuleError, Token, _lex
@@ -95,7 +96,8 @@ def load_hierarchy(text: str) -> System:
     supp: dict[str, Hierarchy] = {}
     # first pass collects the raw model statements; resolution needs them all
     pending: list[tuple[Hierarchy, str, str, list]] = []
-    owners: dict[str, str] = {}  # model name -> hierarchy holding it
+    data = make_data_hierarchy()
+    owners = {m: data.name for m in data.models if m != ROOT_MODEL}  # model -> its hierarchy
     while cur.peek().kind != "eof":
         cur.expect("hierarchy")
         dim = cur.ident()
@@ -129,7 +131,7 @@ def load_hierarchy(text: str) -> System:
         cur.expect("}")
     if app is None:
         app = Hierarchy("main", APPLICATION)
-    system = System(app, supp)
+    system = System(app, supp, data)
     for h, mname, parent, stmts in pending:
         model = _build_model(mname, stmts)
         if parent not in h.models:

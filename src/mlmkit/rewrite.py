@@ -30,7 +30,6 @@ from .graph import (
     Arrow,
     Graph,
     GraphMorphism,
-    enumerate_homomorphisms,
     final_pullback_complement,
     inclusion,
     pushout_along_inclusion,
@@ -45,11 +44,9 @@ from .hierarchy import (
     System,
     TypeRef,
     elem_str,
-    has_type,
-    transitive_types,
     validate_hierarchy,
 )
-from .matching import Binding, LhsMatch, bind_lhs, match_for_model
+from .matching import Binding, LhsMatch, _target, bind_lhs, match_for_model, typed_matches
 from .rules import McmtRule, PatternBlock, PatternElement, RuleError
 
 
@@ -429,60 +426,14 @@ def render_two_level_rule(tlr: TwoLevelRule) -> str:
 
 
 def two_level_matches(system: System, tlr: TwoLevelRule, model_name: str) -> list[dict]:
-    """Matches of a proliferated rule's FROM block: injective homomorphisms
-    whose images are transitively typed by the concrete types."""
-    model = system.find_model(model_name)
-    target = Graph(model.graph.nodes, frozenset(model.plain_arrows()))
-    pattern = tlr.lhs.graph()
+    """Matches of a proliferated rule's FROM block: the search of the coupled
+    rule, with each element's type read from the rule's concrete types."""
 
-    def cands(el):
+    def type_of(el: PatternElement):
         ref = tlr.types.get(el.key)
-        pool = sorted(target.nodes) if el.kind == "node" else sorted(target.arrows)
-        keep = []
-        for x in pool:
-            if el.constant and (x.name if isinstance(x, Arrow) else x) != el.name:
-                continue
-            if ref is not None:
-                tt = transitive_types(system, model_name, x)
-                if tt.get(ref.model) != ref.elem:
-                    continue
-            if not _attr_match(model, el, x):
-                continue
-            keep.append(x)
-        return keep
+        return None if ref is None else (ref.model, ref.elem)
 
-    node_candidates = {el.name: cands(el) for el in tlr.lhs.nodes()}
-    arrow_candidates = {el.key: cands(el) for el in tlr.lhs.arrows()}
-    if any(not v for v in node_candidates.values()) or any(
-        not v for v in arrow_candidates.values()
-    ):
-        return []
-    hits = enumerate_homomorphisms(
-        pattern,
-        target,
-        injective=True,
-        node_candidates=node_candidates,
-        arrow_candidates=arrow_candidates,
-    )
-    out = []
-    for m in hits:
-        a = {}
-        a.update(m.nodes)
-        a.update(m.arrows)
-        out.append(a)
-    return out
-
-
-def _attr_match(model: Model, el: PatternElement, key) -> bool:
-    for attr, clause in el.attrs.items():
-        if clause.kind == "ref":
-            continue
-        have = model.attr_values.get(key, {})
-        if attr not in have:
-            return False
-        if clause.kind == "lit" and have[attr] != clause.value:
-            return False
-    return True
+    return typed_matches(system, tlr.lhs, model_name, type_of, attrs_matter=True)
 
 
 def apply_two_level(
@@ -563,8 +514,8 @@ def _observed_count(system, rule, binding, model_name, el) -> int:
     ref = None if tgt_el is None else _bound_type(rule, binding, tgt_el)
     if ref is None:
         return 1
-    model = system.find_model(model_name)
-    return sum(1 for n in model.graph.nodes if has_type(system, model_name, n, ref))
+    index = _target(system, model_name).by_type(system, "node")
+    return len(index.get((ref.model, ref.elem), ()))
 
 
 def _replicate(rule: McmtRule, pivots: set, copies: int) -> McmtRule:

@@ -542,7 +542,6 @@ def stale_facts(system, rules=()) -> list:
         "type-refs": hy.type_refs,
         "transitive": hy.transitive_types,
         "dom": hy.domain_between,
-        "domain": lambda s, j, i: hy.domain_of_definition(s, s.hierarchy_of(j), j, i),
         "effective-potency": hy.effective_potency,
         "reach": hy.reach,
         "validate": hy.validate_hierarchy,

@@ -454,7 +454,6 @@ FACT_KINDS = {
     "type-refs",
     "transitive",
     "dom",
-    "domain",
     "effective-potency",
     "reach",
     "validate",
@@ -598,17 +597,15 @@ def test_memoized_potencies_and_validation_agree_warm_and_cold_on_a_typing_cycle
         assert not validate_hierarchy(warm, strict).ok
 
 
-def test_a_model_whose_name_an_earlier_hierarchy_owns_is_still_checked():
+def test_a_system_refuses_a_model_name_two_hierarchies_hold():
     app = Hierarchy("h", APPLICATION)
-    sub = Arrow("up", "X", "W")
-    app.add_model(Model("a", graph(["X", "W"], [sub]), inherit_arrows=frozenset({sub})), ROOT_MODEL)
+    app.add_model(Model("a", graph(["X"], [])), ROOT_MODEL)
     supp = Hierarchy("s", SUPPLEMENTARY)
-    loop, up = Arrow("loop", "Y", "Y"), Arrow("up", "X", "Z")
-    supp.add_model(
-        Model("a", graph(["X", "Y", "Z"], [loop, up]), inherit_arrows=frozenset({loop, up})),
-        ROOT_MODEL,
-    )
-    system = System(app, {"s": supp})
-    want = ["[inheritance] a/loop:Y->Y: self-inheritance", "[inheritance] a/Y: inheritance cycle"]
-    for _ in range(2):  # cold, then with the application model's facts memoized
-        assert [str(v) for v in check_inheritance(system)] == want
+    supp.add_model(Model("a", graph(["Y"], [])), ROOT_MODEL)
+    with pytest.raises(ValueError, match="model a is held by hierarchies h and s"):
+        System(app, {"s": supp})
+    data_named = Hierarchy("h", APPLICATION)
+    data_named.add_model(Model("dt2", graph(["X"], [])), ROOT_MODEL)
+    with pytest.raises(ValueError, match="model dt2 is held by hierarchies h and data"):
+        System(data_named)
+    assert System(app).hierarchy_of("a") is app  # the root is in every hierarchy

@@ -90,8 +90,12 @@ hierarchy supplementary s {
             "hierarchy application h { model root : root { } }",
             "1:27: model root already exists in every hierarchy",
         ),
+        (
+            "hierarchy application h { model dt2 : root { node X } }",
+            "1:27: model dt2 already exists in hierarchy data",
+        ),
     ],
-    ids=["two-hierarchies", "one-hierarchy", "root"],
+    ids=["two-hierarchies", "one-hierarchy", "root", "data-type-model"],
 )
 def test_a_model_name_held_twice_is_one_line_exit_two(tmp_path, capsys, text, where):
     with pytest.raises(LoadError) as err:

@@ -1,11 +1,12 @@
 import dataclasses
+import gc
 import random
 
 import pytest
 
 from mlmkit import ltl, matching
 from mlmkit.graph import graph
-from mlmkit.hierarchy import System, validate_hierarchy
+from mlmkit.hierarchy import System, TypeRef, validate_hierarchy
 from mlmkit.ltl import (
     NODE_TO_OP,
     formula_system,
@@ -20,6 +21,7 @@ from mlmkit.ltl import (
     verdict,
 )
 from mlmkit.matching import bind_lhs, match_for_model
+from mlmkit.mlhio import load_hierarchy
 from mlmkit.rewrite import apply_rule
 
 from oracles import term_simplify, term_step, term_strip_next, term_unroll
@@ -132,6 +134,52 @@ def test_monitor_step_on_property_model(combined_system):
 def test_empty_fragment_always_holds():
     system = formula_system(parse_formula("p"))
     assert fragment_holds(system, "property", "n1", "property")
+
+
+SUBTYPED_SNAPSHOTS = """
+hierarchy application h {
+  model lang : root {
+    node Task
+    node Sub
+    inherit sub : Sub -> Task
+  }
+  model run : lang {
+    node x : Sub@lang
+  }
+  model idle : lang { }
+}
+"""
+
+
+def test_a_fragment_holds_on_an_instance_of_a_subtype():
+    loaded = load_hierarchy(SUBTYPED_SNAPSHOTS)
+    system = System(loaded.application, {"ltl": ltl.make_ltl_hierarchy()}, loaded.data)
+    fragments = {"busy": TypeRef("lang", "Task")}
+    system.application.add_model(
+        ltl.build_formula_model(parse_formula("busy"), "property", fragments), "lang"
+    )
+    assert fragment_holds(system, "property", "n1", "run")
+    assert not fragment_holds(system, "property", "n1", "idle")
+
+
+def test_formula_steps_leave_no_reference_cycles(combined_system, ltl_rules):
+    """Building, unfolding and stepping formulas, by the library and by the
+    rules, free everything they made as soon as it is unused: the collector
+    finds nothing."""
+    terms = [parse_formula("G(p -> X(!p U q)) & F(r R p)"), parse_formula("F X true")]
+    gc.collect()
+    gc.disable()
+    try:
+        for term in terms:
+            system = formula_system(term)
+            to_term(system, "property")
+            to_term(monitor_step(system, "property", "property"), "property")
+            to_term(rewrite_with_rules(system, "property", ltl_rules), "property")
+        monitor_step(combined_system, "moving_obstacle", "robot_1_run_1")
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 CRITERION_8_OPS = ["const", "not", "and", "or", "impl", "X", "U", "F", "G"]

@@ -249,11 +249,49 @@ def test_full_model_proliferation_count_golden(robolang_system, robolang_rules):
 # ---------------------------------------------------------------------------
 
 
+# a subtype instance `x` and a plain instance `y` of `Task`: a rule typed by
+# `Task` matches both, and one that asks for potency 2-2-2 matches neither
+SUBTYPED = """
+hierarchy application h {
+  model lang : root {
+    node Task
+    node Sub
+    inherit sub : Sub -> Task
+  }
+  model run : lang {
+    node x : Sub@lang
+    node y : Task@lang
+  }
+}
+"""
+
+SUBTYPED_RULES = """
+rule CopyTask {
+  meta { mm1 { Task$ } }
+  from { t : Task @ mm1 }
+  to {
+    t : Task @ mm1
+    u : Task @ mm1
+  }
+}
+
+rule CopyDeepTask {
+  meta { mm1 { Task$ } }
+  from { t : Task @ mm1 pot 2-2-2 }
+  to {
+    t : Task @ mm1
+    u : Task @ mm1
+  }
+}
+"""
+
+
 def _shipped_pairs(robolang_system, fragment_system, pls_system, robolang_rules, pls_rules):
     yield robolang_system, robolang_rules, "robot_1_run_1"
     yield fragment_system, robolang_rules, "robot_1_run_1"
     yield pls_system, pls_rules, "hammer_config"
     yield pls_system, pls_rules, "stool_config"
+    yield load_hierarchy(SUBTYPED), {r.name: r for r in parse_rules(SUBTYPED_RULES)}, "run"
 
 
 def test_proliferated_equals_direct_application(
@@ -267,16 +305,20 @@ def test_proliferated_equals_direct_application(
                 continue
             _, bindings = match_for_model(system, rule, model)
             for binding in bindings:
-                for m in bind_lhs(system, rule, binding, model):
+                tlrs = [t for t in proliferate(system, rule, model) if t.binding == binding]
+                assert len(tlrs) == 1
+                tlr = tlrs[0]
+                matches = bind_lhs(system, rule, binding, model)
+                mus = two_level_matches(system, tlr, model)
+                assert len(matches) == len(mus)
+                assert {frozenset(m.mu) for m in matches} == {
+                    frozenset(mu.items()) for mu in mus
+                }, (rule.name, binding.render())
+                for m in matches:
                     try:
                         direct = apply_rule(system, rule, model, m)
                     except NotApplicable:
                         direct = None
-                    tlrs = [t for t in proliferate(system, rule, model) if t.binding == binding]
-                    assert len(tlrs) == 1
-                    tlr = tlrs[0]
-                    mus = two_level_matches(system, tlr, model)
-                    assert dict(m.mu) in [dict(x.items()) for x in mus]
                     try:
                         via_tlr = apply_two_level(system, tlr, model, m.mu_map())
                     except NotApplicable:
