@@ -59,15 +59,6 @@ class Graph:
         yield from sorted(self.nodes)
         yield from sorted(self.arrows)
 
-    def arrows_from(self, node: str) -> list[Arrow]:
-        return sorted(a for a in self.arrows if a.src == node)
-
-    def arrows_into(self, node: str) -> list[Arrow]:
-        return sorted(a for a in self.arrows if a.tgt == node)
-
-    def incident(self, node: str) -> list[Arrow]:
-        return sorted(a for a in self.arrows if node in (a.src, a.tgt))
-
     def has(self, elem) -> bool:
         if isinstance(elem, Arrow):
             return elem in self.arrows
@@ -213,11 +204,6 @@ class GraphMorphism:
     @property
     def is_total(self) -> bool:
         return len(self.nodes) == len(self.dom.nodes) and len(self.arrows) == len(self.dom.arrows)
-
-    def defined_on(self, elem) -> bool:
-        if isinstance(elem, Arrow):
-            return elem in self.arrows
-        return elem in self.nodes
 
     def __call__(self, elem):
         if isinstance(elem, Arrow):

@@ -9,7 +9,7 @@ stored; they are derived from parent references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 from .graph import (
@@ -115,7 +115,7 @@ class TypeRef:
         return f"{elem_str(self.elem)}@{self.model}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ElementTyping:
     """Per-element typing record: one type in the owning hierarchy, at most one
     per supplementary hierarchy, at most one data type."""
@@ -133,8 +133,16 @@ class ElementTyping:
             yield ("data", self.data)
 
 
-@dataclass
+ROOT_NODE_TYPING = ElementTyping(TypeRef(ROOT_MODEL, ROOT_NODE))
+ROOT_ARROW_TYPING = ElementTyping(TypeRef(ROOT_MODEL, ROOT_ARROW))
+
+
+@dataclass(frozen=True, eq=False)
 class Model:
+    """A named graph with its element records.  A value built whole: its
+    dicts are never changed after construction.  An element without an own
+    type is typed by the root element of its kind."""
+
     name: str
     graph: Graph
     typings: dict = field(default_factory=dict)  # element -> ElementTyping
@@ -145,12 +153,15 @@ class Model:
     attr_decls: dict = field(default_factory=dict)  # node -> {attr: datatype name}
     attr_values: dict = field(default_factory=dict)  # node -> {attr: literal}
 
-    def typing(self, elem) -> ElementTyping:
-        return self.typings.setdefault(elem, ElementTyping())
-
-    def own_type(self, elem) -> Optional[TypeRef]:
-        t = self.typings.get(elem)
-        return t.own if t else None
+    def __post_init__(self):
+        rest = {}
+        for e in (*self.graph.nodes, *self.graph.arrows):
+            t = self.typings.get(e)
+            if t is None or t.own is None:
+                root = ROOT_ARROW_TYPING if isinstance(e, Arrow) else ROOT_NODE_TYPING
+                rest[e] = root if t is None else replace(t, own=root.own)
+        if rest:
+            object.__setattr__(self, "typings", {**self.typings, **rest})
 
     def plain_arrows(self) -> list[Arrow]:
         return sorted(a for a in self.graph.arrows if a not in self.inherit_arrows)
@@ -161,27 +172,18 @@ class Model:
     def multiplicity(self, arrow: Arrow) -> Multiplicity:
         return self.multiplicities.get(arrow, DEFAULT_MULTIPLICITY)
 
-    def type_rest_by_root(self) -> None:
-        """Give every element without an own type the root type of its kind."""
-        for e in self.graph.elements():
-            t = self.typing(e)
-            if t.own is None:
-                t.own = TypeRef(ROOT_MODEL, ROOT_ARROW if isinstance(e, Arrow) else ROOT_NODE)
+
+ROOT = Model(
+    ROOT_MODEL,
+    graph([ROOT_NODE], [ROOT_ARROW]),
+    potencies={ROOT_NODE: ROOT_POTENCY, ROOT_ARROW: ROOT_POTENCY},
+)
 
 
-def _root_model() -> Model:
-    g = graph([ROOT_NODE], [ROOT_ARROW])
-    m = Model(ROOT_MODEL, g)
-    m.typing(ROOT_NODE).own = TypeRef(ROOT_MODEL, ROOT_NODE)
-    m.typing(ROOT_ARROW).own = TypeRef(ROOT_MODEL, ROOT_ARROW)
-    m.potencies[ROOT_NODE] = ROOT_POTENCY
-    m.potencies[ROOT_ARROW] = ROOT_POTENCY
-    return m
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Hierarchy:
-    """A tree of models with a single self-defining root."""
+    """A tree of models with a single self-defining root, the shared ROOT
+    model.  A value built whole: with_model returns a new hierarchy."""
 
     name: str
     dimension: str = APPLICATION
@@ -190,18 +192,21 @@ class Hierarchy:
 
     def __post_init__(self):
         if ROOT_MODEL not in self.models:
-            self.models[ROOT_MODEL] = _root_model()
-            self.parents[ROOT_MODEL] = None
+            object.__setattr__(self, "models", {ROOT_MODEL: ROOT, **self.models})
+            object.__setattr__(self, "parents", {ROOT_MODEL: None, **self.parents})
 
-    def add_model(self, model: Model, parent: str) -> Model:
+    def with_model(self, model: Model, parent: str) -> "Hierarchy":
+        """This hierarchy with one more model, under parent."""
         if model.name in self.models:
             raise ValueError(f"duplicate model {model.name}")
         if parent not in self.models:
             raise ValueError(f"unknown parent {parent}")
-        self.models[model.name] = model
-        self.parents[model.name] = parent
-        model.type_rest_by_root()
-        return model
+        return Hierarchy(
+            self.name,
+            self.dimension,
+            {**self.models, model.name: model},
+            {**self.parents, model.name: parent},
+        )
 
     def __contains__(self, name: str) -> bool:
         return name in self.models
@@ -237,48 +242,38 @@ class Hierarchy:
         return sorted(self.models, key=lambda n: (self.level(n), n))
 
 
-def make_data_hierarchy() -> Hierarchy:
+def _data_hierarchy() -> Hierarchy:
     """The fixed three-level data-type hierarchy (root, type kinds, concrete
     types with their operations)."""
-    h = Hierarchy("data", DATA)
-    dt1 = Model(
-        "dt1",
-        graph(
-            ["DT", "DTDT", "Init", "Attributed"],
-            [
-                ("unop", "DT", "DT"),
-                ("binop", "DTDT", "DT"),
-                ("const", "Init", "DT"),
-                ("param1", "DTDT", "DT"),
-                ("param2", "DTDT", "DT"),
-                ("value", "Attributed", "DT"),
-            ],
-        ),
+    g1 = graph(
+        ["DT", "DTDT", "Init", "Attributed"],
+        [
+            ("unop", "DT", "DT"),
+            ("binop", "DTDT", "DT"),
+            ("const", "Init", "DT"),
+            ("param1", "DTDT", "DT"),
+            ("param2", "DTDT", "DT"),
+            ("value", "Attributed", "DT"),
+        ],
     )
-    for n in dt1.graph.nodes:
-        dt1.potencies[n] = Potency(1, 1, 3)
-    for a in dt1.graph.arrows:
-        dt1.potencies[a] = Potency(1, 1, 3)
-    dt1.potencies["Attributed"] = Potency(2, 2, None)
-    dt1.potencies[Arrow("value", "Attributed", "DT")] = Potency(2, 2, 2)
-    h.add_model(dt1, ROOT_MODEL)
+    potencies = {e: Potency(1, 1, 3) for e in g1.elements()}
+    potencies["Attributed"] = Potency(2, 2, None)
+    potencies[Arrow("value", "Attributed", "DT")] = Potency(2, 2, 2)
+    dt1 = Model("dt1", g1, potencies=potencies)
 
-    dt2 = Model(
-        "dt2",
-        graph(
-            ["Boolean", "Int", "String", "BooleanBoolean", "IntString", "I"],
-            [
-                ("and", "BooleanBoolean", "Boolean"),
-                ("append", "IntString", "String"),
-                ("succ", "Int", "Int"),
-                ("zero", "I", "Int"),
-                ("empty", "I", "String"),
-                ("bb1", "BooleanBoolean", "Boolean"),
-                ("bb2", "BooleanBoolean", "Boolean"),
-                ("is1", "IntString", "Int"),
-                ("is2", "IntString", "String"),
-            ],
-        ),
+    g2 = graph(
+        ["Boolean", "Int", "String", "BooleanBoolean", "IntString", "I"],
+        [
+            ("and", "BooleanBoolean", "Boolean"),
+            ("append", "IntString", "String"),
+            ("succ", "Int", "Int"),
+            ("zero", "I", "Int"),
+            ("empty", "I", "String"),
+            ("bb1", "BooleanBoolean", "Boolean"),
+            ("bb2", "BooleanBoolean", "Boolean"),
+            ("is1", "IntString", "Int"),
+            ("is2", "IntString", "String"),
+        ],
     )
     own = {
         "Boolean": "DT",
@@ -299,35 +294,35 @@ def make_data_hierarchy() -> Hierarchy:
         "is1": "param1",
         "is2": "param2",
     }
-    dt1_arrows = {a.name: a for a in dt1.graph.arrows}
-    for n, t in own.items():
-        dt2.typing(n).own = TypeRef("dt1", t)
-        dt2.potencies[n] = Potency(1, 1, 2)
-    for a in dt2.graph.arrows:
-        dt2.typing(a).own = TypeRef("dt1", dt1_arrows[arrow_own[a.name]])
-        dt2.potencies[a] = Potency(1, 1, 2)
-    h.add_model(dt2, "dt1")
-    return h
+    dt1_arrows = {a.name: a for a in g1.arrows}
+    typings = {n: ElementTyping(TypeRef("dt1", t)) for n, t in own.items()}
+    for a in g2.arrows:
+        typings[a] = ElementTyping(TypeRef("dt1", dt1_arrows[arrow_own[a.name]]))
+    dt2 = Model("dt2", g2, typings, {e: Potency(1, 1, 2) for e in g2.elements()})
+    return Hierarchy("data", DATA).with_model(dt1, ROOT_MODEL).with_model(dt2, "dt1")
+
+
+DATA_HIERARCHY = _data_hierarchy()
 
 
 @dataclass(eq=False)
 class System:
     """One application hierarchy, optional supplementary hierarchies and the
     built-in data-type hierarchy.  Compared by identity; replace_model builds
-    a fresh value.
+    a fresh value.  Hierarchies are values that never change, so systems may
+    share them: every system shares the one data-type hierarchy.
 
     The cache memoizes derived facts, each stored by remember with the models
     it was derived from (None: the whole system).  replace_model(X) carries
     over every fact none of whose models reach X through their typings, since
-    such a fact never read X.  Clearing the cache drops the facts and what
-    they read alike.  Validation is assembled from such facts, one per model
-    and condition check, so after a rewrite only the parts that read the
-    rewritten model are computed again.  Every model name but the root's
-    is held by one hierarchy, so a name says which model a fact read."""
+    such a fact never read X.  Validation is assembled from such facts, one
+    per model and condition check, so after a rewrite only the parts that
+    read the rewritten model are computed again.  Every model name but the
+    root's is held by one hierarchy, so a name says which model a fact read."""
 
     application: Hierarchy
     supplementary: dict = field(default_factory=dict)  # name -> Hierarchy
-    data: Hierarchy = field(default_factory=make_data_hierarchy)
+    data: Hierarchy = DATA_HIERARCHY
     cache: dict = field(default_factory=dict, repr=False)  # key -> (value, about)
 
     def __post_init__(self):
@@ -370,9 +365,7 @@ class System:
         """New system value with one model replaced (same tree position),
         keeping every fact that never read the replaced model."""
         h = self.hierarchy_of(model.name)
-        new_models = dict(h.models)
-        new_models[model.name] = model
-        new_h = Hierarchy(h.name, h.dimension, new_models, dict(h.parents))
+        new_h = Hierarchy(h.name, h.dimension, {**h.models, model.name: model}, h.parents)
         abouts = {about for _, about in self.cache.values() if about is not None}
         intact = {a for a in abouts if all(model.name not in reach(self, m) for m in a)}
         kept = {k: fact for k, fact in self.cache.items() if fact[1] in intact}
@@ -670,11 +663,7 @@ def _typing_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
     out = []
     chain_above = {x.name for x in h.typing_chain(m.name)[1:]}
     for e in m.graph.elements():
-        typing = m.typings.get(e)
-        if not typing or typing.own is None:
-            out.append(Violation("typing", m.name, elem_str(e), "no type"))
-            continue
-        for dim, ref in typing.all_refs():
+        for dim, ref in m.typings[e].all_refs():
             try:
                 tgt_model = system.find_model(ref.model)
             except KeyError:
@@ -712,10 +701,7 @@ def check_non_dangling(system: System) -> list[Violation]:
 def _non_dangling_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
     out = []
     for a in m.plain_arrows():
-        typing = m.typings.get(a)
-        if not typing or not typing.own:
-            continue
-        for _, ref in typing.all_refs():
+        for _, ref in m.typings[a].all_refs():
             if not isinstance(ref.elem, Arrow):
                 continue
             d = jump_distance(system, m.name, ref)
@@ -793,10 +779,7 @@ def check_potency(system: System) -> list[Violation]:
 def _potency_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
     out = []
     for e in m.graph.elements():
-        typing = m.typings.get(e)
-        if not typing:
-            continue
-        for _, ref in typing.all_refs():
+        for _, ref in m.typings[e].all_refs():
             d = jump_distance(system, m.name, ref)
             tpot = effective_potency(system, ref.model, ref.elem)
             if not tpot.admits_distance(d):
@@ -917,10 +900,7 @@ def _multiplicity_part(system: System, h: Hierarchy, m: Model, strict: bool) -> 
     out = []
     counts: dict[tuple, int] = {}
     for a in m.plain_arrows():
-        t = m.typings.get(a)
-        if not t or not t.own:
-            continue
-        key = (t.own, a.src)
+        key = (m.typings[a].own, a.src)
         counts[key] = counts.get(key, 0) + 1
     for (ref, src), n in sorted(counts.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
         tgt_model = system.find_model(ref.model)
@@ -971,9 +951,7 @@ def _dimensions_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
     out = []
     is_app = h.dimension == APPLICATION
     for e in m.graph.elements():
-        typing = m.typings.get(e)
-        if not typing:
-            continue
+        typing = m.typings[e]
         extras = list(typing.supplementary.items()) + (
             [("data", typing.data)] if typing.data else []
         )
@@ -1026,12 +1004,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def by_condition(self) -> dict:
-        out: dict[str, list] = {}
-        for v in self.violations:
-            out.setdefault(v.condition, []).append(v)
-        return out
-
     def render(self) -> str:
         if self.ok:
             return "ok\n"
@@ -1069,29 +1041,18 @@ def expand_attributes(system: System, model_name: str) -> Model:
     m = system.find_model(model_name)
     nodes = set(m.graph.nodes)
     arrows = set(m.graph.arrows)
-    new = Model(
-        m.name,
-        m.graph,
-        {k: v for k, v in m.typings.items()},
-        dict(m.potencies),
-        dict(m.multiplicities),
-        m.abstract,
-        m.inherit_arrows,
-        {},
-        {},
-    )
+    typings = dict(m.typings)
     for owner in sorted(m.attr_decls):
         for attr, dtype in sorted(m.attr_decls[owner].items()):
             anode = f"{owner}.{attr}"
             nodes.add(anode)
             val_arrow = Arrow(f"{owner}.{attr}.val", owner, anode)
             arrows.add(val_arrow)
-            new.typing(anode).own = TypeRef(ROOT_MODEL, ROOT_NODE)
-            new.typing(anode).data = TypeRef("dt2", dtype)
-            new.typing(val_arrow).own = TypeRef(ROOT_MODEL, ROOT_ARROW)
-            new.typing(val_arrow).data = TypeRef("dt1", Arrow("value", "Attributed", "DT"))
-            owner_t = new.typing(owner)
-            owner_t.data = TypeRef("dt1", "Attributed")
+            typings[anode] = ElementTyping(data=TypeRef("dt2", dtype))
+            typings[val_arrow] = ElementTyping(
+                data=TypeRef("dt1", Arrow("value", "Attributed", "DT"))
+            )
+            typings[owner] = replace(typings[owner], data=TypeRef("dt1", "Attributed"))
     for owner in sorted(m.attr_values):
         for attr, value in sorted(m.attr_values[owner].items()):
             vnode = f"{owner}.{attr}={value!r}"
@@ -1102,12 +1063,20 @@ def expand_attributes(system: System, model_name: str) -> Model:
             if decl is None:
                 raise ValueError(f"no declaration for attribute {owner}.{attr}")
             decl_model, decl_owner = decl
-            new.typing(vnode).own = TypeRef(decl_model, f"{decl_owner}.{attr}")
-            new.typing(varrow).own = TypeRef(
-                decl_model, Arrow(f"{decl_owner}.{attr}.val", decl_owner, f"{decl_owner}.{attr}")
+            typings[vnode] = ElementTyping(TypeRef(decl_model, f"{decl_owner}.{attr}"))
+            typings[varrow] = ElementTyping(
+                TypeRef(
+                    decl_model,
+                    Arrow(f"{decl_owner}.{attr}.val", decl_owner, f"{decl_owner}.{attr}"),
+                )
             )
-    new.graph = Graph(frozenset(nodes), frozenset(arrows))
-    return new
+    return replace(
+        m,
+        graph=Graph(frozenset(nodes), frozenset(arrows)),
+        typings=typings,
+        attr_decls={},
+        attr_values={},
+    )
 
 
 def _find_attr_decl(system: System, model_name: str, owner, attr: str):
@@ -1143,23 +1112,20 @@ def collapse_attributes(system: System, model_name: str, expanded: Model) -> Mod
     arrows = {
         a for a in expanded.graph.arrows if a.src not in drop and a.tgt not in drop
     }
-    out = Model(
-        expanded.name,
-        Graph(frozenset(nodes), frozenset(arrows)),
-        {
+    attr_decls: dict = {}
+    for owner, attr, dtype in sorted(decl_pairs):
+        attr_decls.setdefault(owner, {})[attr] = dtype
+    attr_values: dict = {}
+    for owner, attr, value in sorted(value_triples, key=lambda t: (t[0], t[1], repr(t[2]))):
+        attr_values.setdefault(owner, {})[attr] = value
+    return replace(
+        expanded,
+        graph=Graph(frozenset(nodes), frozenset(arrows)),
+        typings={
             k: v
             for k, v in expanded.typings.items()
             if (k in nodes) or (isinstance(k, Arrow) and k in arrows)
         },
-        dict(expanded.potencies),
-        dict(expanded.multiplicities),
-        expanded.abstract,
-        expanded.inherit_arrows,
-        {},
-        {},
+        attr_decls=attr_decls,
+        attr_values=attr_values,
     )
-    for owner, attr, dtype in sorted(decl_pairs):
-        out.attr_decls.setdefault(owner, {})[attr] = dtype
-    for owner, attr, value in sorted(value_triples, key=lambda t: (t[0], t[1], repr(t[2]))):
-        out.attr_values.setdefault(owner, {})[attr] = value
-    return out

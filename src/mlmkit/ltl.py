@@ -18,6 +18,7 @@ from .graph import Arrow, graph
 from .hierarchy import (
     APPLICATION,
     ROOT_MODEL,
+    ElementTyping,
     Hierarchy,
     Model,
     SUPPLEMENTARY,
@@ -36,7 +37,6 @@ NODE_TO_OP = {v: k for k, v in {**UNARY_OPS, **BINARY_OPS}.items()}
 def make_ltl_hierarchy() -> Hierarchy:
     """The supplementary logic hierarchy: one model with the operator grammar
     encoded as nodes, specialisation arrows and the three structure arrows."""
-    h = Hierarchy("ltl", SUPPLEMENTARY)
     ops = ["Not", "X", "F", "G", "And", "Or", "Implication", "U", "R"]
     leaves = ["Atomic", "True", "False"]
     nodes = ["Formula", "Unary", "Binary", "Root"] + ops + leaves
@@ -53,10 +53,13 @@ def make_ltl_hierarchy() -> Hierarchy:
         Arrow("right", "Binary", "Formula"),
         Arrow("rootf", "Root", "Formula"),
     ]
-    m = Model("ltl", graph(nodes, arrows + inherits), inherit_arrows=frozenset(inherits))
-    m.abstract = frozenset({"Formula", "Unary", "Binary"})
-    h.add_model(m, ROOT_MODEL)
-    return h
+    m = Model(
+        "ltl",
+        graph(nodes, arrows + inherits),
+        abstract=frozenset({"Formula", "Unary", "Binary"}),
+        inherit_arrows=frozenset(inherits),
+    )
+    return Hierarchy("ltl", SUPPLEMENTARY).with_model(m, ROOT_MODEL)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +168,7 @@ def render_term(t) -> str:
 
 
 def _supp_type(system: System, model: Model, key):
-    t = model.typings.get(key)
-    if not t:
-        return None
-    for _, ref in t.supplementary.items():
+    for ref in model.typings[key].supplementary.values():
         return ref
     return None
 
@@ -189,13 +189,14 @@ def build_formula_model(
     as second types on the atomic nodes."""
     fragments = fragments or {}
     ltl_name = "ltl"
-    m = Model(name, graph())
     nodes: list[str] = []
     arrows: list[Arrow] = []
+    typings: dict = {}
+    attr_values: dict = {}
     counter = [0]
 
-    def supp(key, type_name):
-        m.typing(key).supplementary[ltl_name] = TypeRef(ltl_name, type_name)
+    def supp(key, type_name, own=None):
+        typings[key] = ElementTyping(own, {ltl_name: TypeRef(ltl_name, type_name)})
 
     def emit(t) -> str:
         counter[0] += 1
@@ -205,10 +206,8 @@ def build_formula_model(
         if op == "const":
             supp(me, "True" if t[1] else "False")
         elif op == "atom":
-            supp(me, "Atomic")
-            if t[1] in fragments:
-                m.typing(me).own = fragments[t[1]]
-            m.attr_values.setdefault(me, {})["prop"] = t[1]
+            supp(me, "Atomic", fragments.get(t[1]))
+            attr_values[me] = {"prop": t[1]}
         elif op in UNARY_OPS:
             supp(me, UNARY_OPS[op])
             child = emit(t[1])
@@ -233,18 +232,15 @@ def build_formula_model(
     ra = Arrow("rootf0", "r0", top)
     arrows.append(ra)
     supp(ra, Arrow("rootf", "Root", "Formula"))
-    m.graph = graph(nodes, arrows)
-    return m
+    return Model(name, graph(nodes, arrows), typings, attr_values=attr_values)
 
 
 def formula_system(term, fragments: dict | None = None) -> System:
     """A standalone system holding one formula model typed by the logic
     hierarchy (application side defaults to the root types)."""
-    app = Hierarchy("formulas", APPLICATION)
-    system = System(app, {"ltl": make_ltl_hierarchy()})
     model = build_formula_model(term, "property", fragments)
-    app.add_model(model, ROOT_MODEL)
-    return system
+    app = Hierarchy("formulas", APPLICATION).with_model(model, ROOT_MODEL)
+    return System(app, {"ltl": make_ltl_hierarchy()})
 
 
 def _structure(system: System, model: Model):
@@ -303,42 +299,29 @@ def to_term(system: System, model_name: str):
 
 
 class _Builder:
-    """Accumulates a rewritten formula model with fresh deterministic names."""
+    """Accumulates a rewritten formula model with fresh deterministic names:
+    its nodes, arrows, typings and attribute values, from which finish
+    constructs the model."""
 
     def __init__(self, system: System, model: Model):
         self.system = system
         self.model = model
-        self.out = Model(model.name, graph())
         self.nodes: list[str] = []
         self.arrows: list[Arrow] = []
+        self.typings: dict = {}
+        self.attr_values: dict = {}
         self.counter = 0
         self.supp_hier = next(iter(model.typings[next(iter(model.graph.nodes))].supplementary))
 
-    def fresh(self, kind: str) -> str:
+    def fresh(self, kind: str, own: TypeRef | None = None) -> str:
         self.counter += 1
         name = f"n{self.counter}"
         while name in self.model.graph.nodes or name in self.nodes:
             self.counter += 1
             name = f"n{self.counter}"
         self.nodes.append(name)
-        self.out.typing(name).supplementary[self.supp_hier] = TypeRef(
-            self.supp_hier, kind
-        )
+        self.typings[name] = ElementTyping(own, {self.supp_hier: TypeRef(self.supp_hier, kind)})
         return name
-
-    def copy_node(self, n: str) -> str:
-        self.nodes.append(n)
-        old = self.model.typings.get(n)
-        if old:
-            t = self.out.typing(n)
-            t.own = old.own
-            t.supplementary = dict(old.supplementary)
-            t.data = old.data
-        if n in self.model.attr_values:
-            self.out.attr_values[n] = dict(self.model.attr_values[n])
-        if n in self.model.potencies:
-            self.out.potencies[n] = self.model.potencies[n]
-        return n
 
     def link(self, src: str, tgt: str, slot: str):
         self.counter += 1
@@ -350,20 +333,21 @@ class _Builder:
             "right": Arrow("right", "Binary", "Formula"),
             "rootf": Arrow("rootf", "Root", "Formula"),
         }[slot]
-        self.out.typing(a).supplementary[self.supp_hier] = TypeRef(self.supp_hier, kind)
+        self.typings[a] = ElementTyping(None, {self.supp_hier: TypeRef(self.supp_hier, kind)})
         return a
 
     def kind_of(self, n: str):
         """The logic kind of a node already built."""
-        t = self.out.typings.get(n)
-        if not t or not t.supplementary:
-            return None
-        return next(iter(t.supplementary.values())).elem
+        return next(iter(self.typings[n].supplementary.values())).elem
 
     def finish(self) -> System:
-        self.out.graph = graph(self.nodes, self.arrows)
-        self.out.type_rest_by_root()
-        return self.system.replace_model(self.out)
+        model = Model(
+            self.model.name,
+            graph(self.nodes, self.arrows),
+            self.typings,
+            attr_values=self.attr_values,
+        )
+        return self.system.replace_model(model)
 
 
 def unroll(system: System, model_name: str) -> System:
@@ -491,12 +475,9 @@ def evaluate_atomics(system: System, model_name: str, snapshot: str) -> System:
 
 
 def _copy_any(b: _Builder, model, kinds, children, n: str) -> str:
-    me = b.fresh(kinds[n])
+    me = b.fresh(kinds[n], model.typings[n].own)
     if n in model.attr_values:
-        b.out.attr_values[me] = dict(model.attr_values[n])
-    own = model.typings.get(n)
-    if own and own.own:
-        b.out.typing(me).own = own.own
+        b.attr_values[me] = model.attr_values[n]
     for slot in ("formula", "left", "right"):
         if slot in children.get(n, {}):
             b.link(me, _copy_any(b, model, kinds, children, children[n][slot]), slot)
@@ -530,12 +511,10 @@ def _fragment_elements(system: System, model: Model, atomic: str):
     via application-typed arrows."""
 
     def app_typed(key) -> bool:
-        t = model.typings.get(key)
-        if not t or not t.own:
+        own = model.typings[key].own
+        if own.model == ROOT_MODEL:
             return False
-        if t.own.model == ROOT_MODEL:
-            return False
-        return system.hierarchy_of(t.own.model).dimension == APPLICATION
+        return system.hierarchy_of(own.model).dimension == APPLICATION
 
     if not app_typed(atomic):
         return []
@@ -560,10 +539,6 @@ def _fragment_elements(system: System, model: Model, atomic: str):
 
 def _fold(kinds, children, b, model, n: str, strip_x: bool) -> str:
     k = kinds[n]
-
-    def is_const(term_node, value):
-        return kinds.get(term_node) == ("True" if value else "False")
-
     if k in ("Not", "F", "G", "X"):
         child = children[n]["formula"]
         if k == "X" and strip_x:
@@ -683,7 +658,7 @@ def _live(system: System, model_name: str):
     live = {n for n, k in kinds.items() if k is None or n in depths}
     if len(live) < len(kinds):
         arrows = (a for a in model.graph.arrows if a.src in live and a.tgt in live)
-        system = system.replace_model(_survivors(model, graph(live, arrows)))
+        system = system.replace_model(_survivors(model, graph(live, arrows), {}, {}))
     return system, {kinds[n] for n in live}, depths, now
 
 

@@ -7,9 +7,13 @@ graph homomorphism found by a candidate-pruned backtracking search; a direct
 typing edge in the pattern may match a transitive typing path in the target.
 The left-hand side is then matched into the target model under the same
 regime plus attribute constraints, and the whole family is re-checked for
-type compatibility level by level.  Proliferated rules and the pattern
-fragments of temporal formulas are matched by the same search, typed_matches,
-with their element types read from their own concrete typings.
+type compatibility level by level.  The re-check drops a hit only on a
+hierarchy that breaks the inheritance condition: the search lets a node
+stand for its inheritance parents' types, so a child typed differently from
+its parent is found under the parent's type, and the re-check reads the
+child's own typing.  Proliferated rules and the pattern fragments of
+temporal formulas are matched by the same search, typed_matches, with their
+element types read from their own concrete typings.
 """
 
 from __future__ import annotations

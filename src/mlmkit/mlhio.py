@@ -27,21 +27,24 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graph import Arrow, graph
+from .graph import Arrow, Graph, graph
 from .hierarchy import (
     APPLICATION,
-    ROOT_ARROW,
+    DATA,
+    DATA_HIERARCHY,
+    ROOT,
+    ROOT_ARROW_TYPING,
     ROOT_MODEL,
-    ROOT_NODE,
+    ROOT_NODE_TYPING,
     SUPPLEMENTARY,
     DEFAULT_MULTIPLICITY,
+    ElementTyping,
     Hierarchy,
     Model,
     Multiplicity,
     System,
     TypeRef,
     elem_str,
-    make_data_hierarchy,
     parse_potency,
 )
 from .rules import RuleError, Token, _lex
@@ -61,9 +64,6 @@ class _Cursor:
         while self.toks[j].kind == "nl":
             j += 1
         return self.toks[j]
-
-    def peek_same_line(self) -> Token:
-        return self.toks[self.i]
 
     def next(self) -> Token:
         while self.toks[self.i].kind == "nl":
@@ -87,29 +87,25 @@ class _Cursor:
 
 def load_hierarchy(text: str) -> System:
     """Parse a hierarchy document into a System; unknown references and
-    malformed statements raise LoadError naming the offending line."""
+    malformed statements raise LoadError naming the offending line.  Each
+    model and hierarchy is built once, whole, and the system last."""
     try:
         cur = _Cursor(_lex(text))
     except RuleError as e:
         raise LoadError(str(e))
-    app: Hierarchy | None = None
-    supp: dict[str, Hierarchy] = {}
-    # first pass collects the raw model statements; resolution needs them all
-    pending: list[tuple[Hierarchy, str, str, list]] = []
-    data = make_data_hierarchy()
-    owners = {m: data.name for m in data.models if m != ROOT_MODEL}  # model -> its hierarchy
+    # (hierarchy name, dimension, [(model, parent, statements)]) in document order
+    blocks: list[tuple[str, str, list]] = []
+    owners = {m: DATA_HIERARCHY.name for m in DATA_HIERARCHY.models if m != ROOT_MODEL}
     while cur.peek().kind != "eof":
         cur.expect("hierarchy")
         dim = cur.ident()
         name = cur.ident()
         if dim == "application":
-            h = Hierarchy(name, APPLICATION)
-            if app is not None:
+            if any(d == APPLICATION for _, d, _ in blocks):
                 raise LoadError("there cannot be two application hierarchies in one system")
-            app = h
+            blocks.append((name, APPLICATION, []))
         elif dim == "supplementary":
-            h = Hierarchy(name, SUPPLEMENTARY)
-            supp[name] = h
+            blocks.append((name, SUPPLEMENTARY, []))
         else:
             raise LoadError(f"unknown dimension {dim!r}")
         cur.expect("{")
@@ -127,20 +123,36 @@ def load_hierarchy(text: str) -> System:
             while cur.peek().text != "}":
                 stmts.append(_parse_statement(cur))
             cur.expect("}")
-            pending.append((h, mname, parent, stmts))
+            blocks[-1][2].append((mname, parent, stmts))
         cur.expect("}")
-    if app is None:
-        app = Hierarchy("main", APPLICATION)
-    system = System(app, supp, data)
-    for h, mname, parent, stmts in pending:
-        model = _build_model(mname, stmts)
-        if parent not in h.models:
-            raise LoadError(f"model {mname}: unknown parent {parent}")
-        h.add_model(model, parent)
-    # resolve typings now that every model exists
-    for h, mname, parent, stmts in pending:
-        _resolve(system, h.models[mname], stmts)
-    return system
+    graphs: dict = {}  # model name -> (graph, specialisation arrows)
+    for _, _, pending in blocks:
+        known = {ROOT_MODEL}
+        for mname, parent, stmts in pending:
+            graphs[mname] = _build_graph(mname, stmts)
+            if parent not in known:
+                raise LoadError(f"model {mname}: unknown parent {parent}")
+            known.add(mname)
+    # the system holds the application hierarchy and, of two supplementary
+    # hierarchies with one name, the last
+    held = {}
+    for name, dim, pending in blocks:
+        held[name if dim == SUPPLEMENTARY else None] = (name, dim, pending)
+    # what a type reference reads: model name -> (dimension, hierarchy, graph)
+    places = {m: (DATA, None, model.graph) for m, model in DATA_HIERARCHY.models.items()}
+    places[ROOT_MODEL] = (APPLICATION, None, ROOT.graph)
+    for name, dim, pending in held.values():
+        places.update((m, (dim, name, graphs[m][0])) for m, _, _ in pending)
+    models = {
+        m: _resolve(m, *graphs[m], stmts, places) for *_, pending in blocks for m, _, stmts in pending
+    }
+
+    def build(name: str, dim: str, pending: list) -> Hierarchy:
+        models_here = {m: models[m] for m, _, _ in pending}
+        return Hierarchy(name, dim, models_here, {m: p for m, p, _ in pending})
+
+    app = build(*held.pop(None)) if None in held else Hierarchy("main", APPLICATION)
+    return System(app, {name: build(*doc) for name, doc in held.items()}, DATA_HIERARCHY)
 
 
 def _parse_statement(cur: _Cursor) -> tuple:
@@ -226,7 +238,8 @@ def _trailing(cur: _Cursor, arrow: bool):
     return types, pot, mult, flags
 
 
-def _build_model(name: str, stmts: list) -> Model:
+def _build_graph(name: str, stmts: list) -> tuple[Graph, frozenset]:
+    """The model's graph and its specialisation arrows."""
     nodes, arrows, inherits = [], [], []
     for st in stmts:
         if st[0] == "node":
@@ -244,76 +257,87 @@ def _build_model(name: str, stmts: list) -> Model:
             bad.append(f"arrow {a!r} references unknown node {a.tgt}")
     if bad:
         raise LoadError(f"model {name}: " + "; ".join(bad))
-    return Model(name, g, inherit_arrows=frozenset(inherits))
+    return g, frozenset(inherits)
 
 
-def _resolve(system: System, model: Model, stmts: list):
-    explicit_own: set = set()
+def _resolve(name: str, g: Graph, inherits: frozenset, stmts: list, places: dict) -> Model:
+    """The model: each element's own, supplementary and data types, looked
+    up in places (model name -> dimension, hierarchy name and graph), its
+    potencies, multiplicities, abstract nodes and attributes."""
+    own, supp, data = {}, {}, {}
+    potencies, multiplicities, abstract = {}, {}, set()
+    attr_decls: dict = {}
+    attr_values: dict = {}
     for st in stmts:
         kind = st[0]
         if kind in ("node", "arrow"):
-            _, name, src, tgt, types, pot, mult, flags, line = st
-            key = name if kind == "node" else Arrow(name, src, tgt)
+            _, ename, src, tgt, types, pot, mult, flags, line = st
+            key = ename if kind == "node" else Arrow(ename, src, tgt)
             for tname, tmodel in types:
-                try:
-                    target = system.find_model(tmodel)
-                except KeyError:
-                    raise LoadError(
-                        f"line {line}: model {model.name}: unknown type model {tmodel}"
-                    )
+                if tmodel not in places:
+                    raise LoadError(f"line {line}: model {name}: unknown type model {tmodel}")
+                dim, hname, target = places[tmodel]
                 telem = _find_elem(target, tname, kind)
                 if telem is None:
                     raise LoadError(
-                        f"line {line}: model {model.name}: unknown type "
+                        f"line {line}: model {name}: unknown type "
                         f"{tname}@{tmodel} for {elem_str(key)}"
                     )
-                hier = system.hierarchy_of(tmodel)
-                slot = model.typing(key)
-                if hier is system.data:
-                    if slot.data is not None:
+                if dim == DATA:
+                    if key in data:
+                        raise LoadError(f"model {name}: {elem_str(key)} has two data types")
+                    data[key] = TypeRef(tmodel, telem)
+                elif dim == SUPPLEMENTARY:
+                    slot = supp.setdefault(key, {})
+                    if hname in slot:
                         raise LoadError(
-                            f"model {model.name}: {elem_str(key)} has two data types"
+                            f"model {name}: {elem_str(key)} has two types in hierarchy {hname}"
                         )
-                    slot.data = TypeRef(tmodel, telem)
-                elif hier.dimension == SUPPLEMENTARY:
-                    if hier.name in slot.supplementary:
-                        raise LoadError(
-                            f"model {model.name}: {elem_str(key)} has two types in "
-                            f"hierarchy {hier.name}"
-                        )
-                    slot.supplementary[hier.name] = TypeRef(tmodel, telem)
+                    slot[hname] = TypeRef(tmodel, telem)
                 else:
-                    if key in explicit_own:
+                    if key in own:
                         raise LoadError(
-                            f"model {model.name}: {elem_str(key)} has two types in "
-                            f"its own hierarchy"
+                            f"model {name}: {elem_str(key)} has two types in its own hierarchy"
                         )
-                    explicit_own.add(key)
-                    slot.own = TypeRef(tmodel, telem)
+                    own[key] = TypeRef(tmodel, telem)
             if pot is not None:
-                model.potencies[key] = pot
+                potencies[key] = pot
             if mult is not None:
-                model.multiplicities[key] = mult
+                multiplicities[key] = mult
             if "abstract" in flags:
-                model.abstract = model.abstract | {name}
+                abstract.add(ename)
         elif kind == "attrdecl":
             _, owner, aname, dtype, line = st
-            if owner not in model.graph.nodes:
-                raise LoadError(f"line {line}: model {model.name}: attribute on unknown node {owner}")
-            if dtype not in system.data.models["dt2"].graph.nodes:
-                raise LoadError(f"line {line}: model {model.name}: unknown data type {dtype}")
-            model.attr_decls.setdefault(owner, {})[aname] = dtype
+            if owner not in g.nodes:
+                raise LoadError(f"line {line}: model {name}: attribute on unknown node {owner}")
+            if dtype not in DATA_HIERARCHY.models["dt2"].graph.nodes:
+                raise LoadError(f"line {line}: model {name}: unknown data type {dtype}")
+            attr_decls.setdefault(owner, {})[aname] = dtype
         elif kind == "attrval":
             _, owner, aname, value, line = st
-            if owner not in model.graph.nodes:
-                raise LoadError(f"line {line}: model {model.name}: attribute on unknown node {owner}")
-            model.attr_values.setdefault(owner, {})[aname] = value
+            if owner not in g.nodes:
+                raise LoadError(f"line {line}: model {name}: attribute on unknown node {owner}")
+            attr_values.setdefault(owner, {})[aname] = value
+    typings = {
+        k: ElementTyping(own.get(k), supp.get(k, {}), data.get(k)) for k in {**own, **supp, **data}
+    }
+    return Model(
+        name,
+        g,
+        typings,
+        potencies,
+        multiplicities,
+        frozenset(abstract),
+        inherits,
+        attr_decls,
+        attr_values,
+    )
 
 
-def _find_elem(model: Model, name: str, kind: str):
+def _find_elem(g: Graph, name: str, kind: str):
     if kind == "node":
-        return name if name in model.graph.nodes else None
-    hits = [a for a in sorted(model.graph.arrows) if a.name == name]
+        return name if name in g.nodes else None
+    hits = [a for a in sorted(g.arrows) if a.name == name]
     return hits[0] if hits else None
 
 
@@ -323,12 +347,9 @@ def _find_elem(model: Model, name: str, kind: str):
 
 
 def _type_suffix(system: System, model: Model, key) -> str:
-    t = model.typings.get(key)
-    if not t:
-        return ""
+    t = model.typings[key]
     refs = []
-    default = TypeRef(ROOT_MODEL, ROOT_NODE if not isinstance(key, Arrow) else ROOT_ARROW)
-    if t.own and t.own != default:
+    if t.own != (ROOT_ARROW_TYPING if isinstance(key, Arrow) else ROOT_NODE_TYPING).own:
         refs.append(t.own)
     for h in sorted(t.supplementary):
         refs.append(t.supplementary[h])
@@ -407,10 +428,8 @@ def _model_text(system: System, h: Hierarchy, name: str) -> str:
 def _dot_label(system: System, model: Model, key) -> str:
     from .hierarchy import jump_distance
 
-    t = model.typings.get(key)
+    t = model.typings[key]
     name = key.name if isinstance(key, Arrow) else key
-    if not t or not t.own:
-        return name
     d = jump_distance(system, model.name, t.own)
     tn = t.own.elem.name if isinstance(t.own.elem, Arrow) else t.own.elem
     label = f"{name}:{tn}@{d}"

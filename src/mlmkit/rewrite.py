@@ -36,9 +36,6 @@ from .graph import (
 )
 from .hierarchy import (
     APPLICATION,
-    ROOT_ARROW,
-    ROOT_MODEL,
-    ROOT_NODE,
     ElementTyping,
     Model,
     System,
@@ -185,11 +182,12 @@ def _rewrite(
     t_graph = _glue_and_delete(rule, mu, target, fresh_nodes, fresh_arrows)
     inst = _instance_keys(rule, mu, fresh_nodes, fresh_arrows)
 
-    new = _survivors(model, t_graph)
-    for el in rule.interface().elements.values():
-        if el.key not in rule.lhs.elements:
-            _type_created(system, new, inst[el.key], type_of(el))
-    _attribute_effects(rule, model, new, inst)
+    created = {
+        inst[el.key]: _type_created(system, type_of(el))
+        for el in rule.interface().elements.values()
+        if el.key not in rule.lhs.elements
+    }
+    new = _survivors(model, t_graph, created, _attribute_effects(rule, model, inst))
     new_system = system.replace_model(new)
 
     if postfilter:
@@ -241,56 +239,64 @@ def _instance_keys(rule, mu: dict, fresh_nodes: dict, fresh_arrows: dict) -> dic
     return out
 
 
-def _survivors(model: Model, t_graph: Graph) -> Model:
-    """The rewritten model over t_graph, with the typings, potencies,
-    multiplicities and attributes of the elements that survive."""
-    new = Model(model.name, t_graph)
+def _survivors(model: Model, t_graph: Graph, created: dict, effects: dict) -> Model:
+    """The rewritten model over t_graph: the typings, potencies,
+    multiplicities and attributes of the elements that survive, the typings
+    of the created elements and the attribute values the rewrite sets."""
+    typings, potencies, multiplicities = {}, {}, {}
     for e in t_graph.elements():
         if model.graph.has(e):
-            if e in model.typings:
-                old = model.typings[e]
-                new.typings[e] = ElementTyping(old.own, dict(old.supplementary), old.data)
+            typings[e] = model.typings[e]
             if e in model.potencies:
-                new.potencies[e] = model.potencies[e]
+                potencies[e] = model.potencies[e]
             if isinstance(e, Arrow) and e in model.multiplicities:
-                new.multiplicities[e] = model.multiplicities[e]
-    new.abstract = model.abstract & t_graph.nodes
-    new.inherit_arrows = model.inherit_arrows & t_graph.arrows
-    for owner, decls in model.attr_decls.items():
-        if owner in t_graph.nodes:
-            new.attr_decls[owner] = dict(decls)
-    for owner, values in model.attr_values.items():
-        if owner in t_graph.nodes:
-            new.attr_values[owner] = dict(values)
-    return new
+                multiplicities[e] = model.multiplicities[e]
+    typings.update(created)
+    attr_values = {
+        owner: {**values, **effects.get(owner, {})}
+        for owner, values in model.attr_values.items()
+        if owner in t_graph.nodes
+    }
+    for owner, values in effects.items():
+        attr_values.setdefault(owner, values)
+    return Model(
+        model.name,
+        t_graph,
+        typings,
+        potencies,
+        multiplicities,
+        model.abstract & t_graph.nodes,
+        model.inherit_arrows & t_graph.arrows,
+        {owner: decls for owner, decls in model.attr_decls.items() if owner in t_graph.nodes},
+        attr_values,
+    )
 
 
-def _type_created(system: System, new: Model, key, ref: Optional[TypeRef]):
-    """Type a created element by ref, in the dimension of the hierarchy that
-    holds ref; without ref, or outside the application dimension, its own
-    type is the root type."""
-    typing = new.typing(key)
+def _type_created(system: System, ref: Optional[TypeRef]) -> ElementTyping:
+    """The typing of a created element: ref, in the dimension of the
+    hierarchy that holds ref; without ref, or outside the application
+    dimension, its own type is the root type."""
     hier = None if ref is None else system.hierarchy_of(ref.model)
-    if hier is not None and hier.dimension == APPLICATION:
-        typing.own = ref
-        return
-    typing.own = TypeRef(ROOT_MODEL, ROOT_ARROW if isinstance(key, Arrow) else ROOT_NODE)
+    if hier is None:
+        return ElementTyping()
+    if hier.dimension == APPLICATION:
+        return ElementTyping(ref)
     if hier is system.data:
-        typing.data = ref
-    elif hier is not None:
-        typing.supplementary[hier.name] = ref
+        return ElementTyping(data=ref)
+    return ElementTyping(supplementary={hier.name: ref})
 
 
-def _attribute_effects(rule, model: Model, new: Model, inst: dict):
-    """Apply the TO block's attribute assignments to the rewritten model;
-    an increment reads the matched model and needs the attribute there."""
+def _attribute_effects(rule, model: Model, inst: dict) -> dict:
+    """The TO block's attribute assignments, element -> {attr: value}; an
+    increment reads the matched model and needs the attribute there."""
+    out: dict = {}
     for el in rule.rhs.elements.values():
         target_key = inst[el.key]
         for attr, clause in sorted(el.attrs.items()):
             if clause.kind == "any":
                 continue
             if clause.kind == "lit":
-                new.attr_values.setdefault(target_key, {})[attr] = clause.value
+                out.setdefault(target_key, {})[attr] = clause.value
             elif clause.kind == "ref":
                 base = model.attr_values.get(inst[clause.elem], {}).get(clause.attr)
                 if base is None:
@@ -299,9 +305,10 @@ def _attribute_effects(rule, model: Model, new: Model, inst: dict):
                     )
                 if not isinstance(clause.delta, int):
                     raise RuleError(f"unsubstituted parameter {clause.delta}")
-                new.attr_values.setdefault(target_key, {})[attr] = base + clause.delta
+                out.setdefault(target_key, {})[attr] = base + clause.delta
             elif clause.kind == "param":
                 raise RuleError(f"unsubstituted parameter {clause.value}")
+    return out
 
 
 # ---------------------------------------------------------------------------

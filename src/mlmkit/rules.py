@@ -177,6 +177,11 @@ class PatternBlock:
     def by_name(self, name: str) -> Optional[PatternElement]:
         return self._names.get(name)
 
+    @cached_property
+    def text(self) -> str:
+        """The block as text, taken once per block value."""
+        return repr(self)
+
 
 @dataclass(frozen=True)
 class McmtRule:
@@ -199,10 +204,11 @@ class McmtRule:
         return len(self.meta)
 
     @cached_property
-    def meta_key(self) -> str:
-        """The meta chain as text, taken once per rule: rules with equal keys
-        have equal meta matches."""
-        return repr(self.meta)
+    def meta_key(self) -> tuple:
+        """The meta chain as the text of its blocks: rules with equal keys
+        have equal meta matches, and rules that share their meta blocks share
+        the strings of their key."""
+        return tuple(blk.text for blk in self.meta)
 
     @cached_property
     def from_kinds(self) -> frozenset:

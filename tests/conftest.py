@@ -1,7 +1,9 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
 
+from mlmkit.hierarchy import ElementTyping
 from mlmkit.mlhio import load_hierarchy
 from mlmkit.rules import parse_rules
 
@@ -26,6 +28,20 @@ hierarchy application h {
 
 def load_fixture(name: str):
     return load_hierarchy((FIXTURES / name).read_text(encoding="utf-8"))
+
+
+def edited(system, name: str, **fields):
+    """The system with one model rebuilt with some fields changed."""
+    return system.replace_model(dataclasses.replace(system.find_model(name), **fields))
+
+
+def retyped(model, changes: dict) -> dict:
+    """The model's typings with some slots changed: changes maps an element
+    to its changed slots, such as {"own": ref}."""
+    out = dict(model.typings)
+    for key, slots in changes.items():
+        out[key] = dataclasses.replace(out.get(key, ElementTyping()), **slots)
+    return out
 
 
 def load_rule_file(name: str):

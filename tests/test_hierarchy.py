@@ -6,6 +6,7 @@ import pytest
 from mlmkit.graph import Arrow, graph
 from mlmkit.hierarchy import (
     APPLICATION,
+    ROOT_ARROW,
     ROOT_MODEL,
     SUPPLEMENTARY,
     ElementTyping,
@@ -39,42 +40,56 @@ from mlmkit.hierarchy import (
 from mlmkit.graph import compose_partial, partial_leq
 from mlmkit.ltl import formula_system, parse_formula, rewrite_with_rules
 from mlmkit.matching import bind_lhs, meta_bindings
-from mlmkit.mlhio import load_hierarchy
+from mlmkit.mlhio import load_hierarchy, save_hierarchy
 from mlmkit.simulate import SeededChoice, Trace, parse_layers, step
 
-from conftest import CYCLE_WITH_ARROWS, FIXTURES, load_fixture
+from conftest import CYCLE_WITH_ARROWS, FIXTURES, edited, load_fixture, retyped
+from tests_condition_fixtures import two_handles
 from oracles import stale_facts
 from test_acceptance import _random_term
 
 
 def intro_system():
     """Three-node robot over the two language levels, with level-jumping."""
-    h = Hierarchy("demo", APPLICATION)
     robolang = Model(
         "robolang",
         graph(
             ["Task", "Trn"],
             [("in", "Trn", "Task"), ("out", "Trn", "Task")],
         ),
+        potencies={
+            "Trn": parse_potency("1-2-*"),
+            Arrow("in", "Trn", "Task"): parse_potency("1-2-*"),
+            Arrow("out", "Trn", "Task"): parse_potency("1-2-*"),
+        },
     )
-    robolang.potencies["Trn"] = parse_potency("1-2-*")
-    robolang.potencies[Arrow("in", "Trn", "Task")] = parse_potency("1-2-*")
-    robolang.potencies[Arrow("out", "Trn", "Task")] = parse_potency("1-2-*")
-    h.add_model(robolang, ROOT_MODEL)
-    legolang = Model("legolang", graph(["Initial", "GoForward"]))
-    legolang.typing("Initial").own = TypeRef("robolang", "Task")
-    legolang.typing("GoForward").own = TypeRef("robolang", "Task")
-    h.add_model(legolang, "robolang")
+    legolang = Model(
+        "legolang",
+        graph(["Initial", "GoForward"]),
+        {
+            "Initial": ElementTyping(TypeRef("robolang", "Task")),
+            "GoForward": ElementTyping(TypeRef("robolang", "Task")),
+        },
+    )
     robot = Model(
         "robot_1",
         graph(["I", "GF", "T"], [("in", "T", "I"), ("out", "T", "GF")]),
+        {
+            "I": ElementTyping(TypeRef("legolang", "Initial")),
+            "GF": ElementTyping(TypeRef("legolang", "GoForward")),
+            "T": ElementTyping(TypeRef("robolang", "Trn")),
+            Arrow("in", "T", "I"): ElementTyping(TypeRef("robolang", Arrow("in", "Trn", "Task"))),
+            Arrow("out", "T", "GF"): ElementTyping(
+                TypeRef("robolang", Arrow("out", "Trn", "Task"))
+            ),
+        },
     )
-    robot.typing("I").own = TypeRef("legolang", "Initial")
-    robot.typing("GF").own = TypeRef("legolang", "GoForward")
-    robot.typing("T").own = TypeRef("robolang", "Trn")
-    robot.typing(Arrow("in", "T", "I")).own = TypeRef("robolang", Arrow("in", "Trn", "Task"))
-    robot.typing(Arrow("out", "T", "GF")).own = TypeRef("robolang", Arrow("out", "Trn", "Task"))
-    h.add_model(robot, "legolang")
+    h = (
+        Hierarchy("demo", APPLICATION)
+        .with_model(robolang, ROOT_MODEL)
+        .with_model(legolang, "robolang")
+        .with_model(robot, "legolang")
+    )
     return System(h)
 
 
@@ -141,12 +156,13 @@ def test_non_dangling_fixture_and_violation():
     system = intro_system()
     assert check_non_dangling(system) == []
     # retype the in-arrow so its source type no longer matches
-    h = system.application
-    robot = h.models["robot_1"]
-    robot.typing(Arrow("in", "T", "I")).own = TypeRef("robolang", Arrow("out", "Trn", "Task"))
-    # out: Trn -> Task: source fits but the worked example breaks on target types
-    robot.typing("I").own = TypeRef("robolang", "Trn")
-    system.cache.clear()
+    robot = system.find_model("robot_1")
+    changes = {
+        Arrow("in", "T", "I"): {"own": TypeRef("robolang", Arrow("out", "Trn", "Task"))},
+        # out: Trn -> Task: source fits but the worked example breaks on target types
+        "I": {"own": TypeRef("robolang", "Trn")},
+    }
+    system = edited(system, "robot_1", typings=retyped(robot, changes))
     bad = check_non_dangling(system)
     assert any(v.condition == "non-dangling" for v in bad)
 
@@ -156,11 +172,13 @@ def test_uniqueness_ok_and_violation(robolang_system):
     # seed a disagreeing 2-jump typing: T1 is declared a direct instance of
     # a robolang element whose chain disagrees with its legolang route
     system = load_fixture("robolang.mlh")
-    robot = system.application.models["robot_1"]
-    robot.typing("GF").own = TypeRef("legolang", "GoForward")
+    robot = system.find_model("robot_1")
+    gf = {"GF": {"own": TypeRef("legolang", "GoForward")}}
+    system = edited(system, "robot_1", typings=retyped(robot, gf))
     # make the composite disagree by retyping GoForward's own chain target
-    system.application.models["legolang"].typing("GoForward").own = TypeRef("robolang", "Input")
-    system.cache.clear()
+    legolang = system.find_model("legolang")
+    go_forward = {"GoForward": {"own": TypeRef("robolang", "Input")}}
+    system = edited(system, "legolang", typings=retyped(legolang, go_forward))
     # GF -> GoForward -> Input, but arrows typed in@robolang still expect Task
     bad = validate_hierarchy(system).violations
     assert any(v.condition == "non-dangling" for v in bad)
@@ -168,13 +186,18 @@ def test_uniqueness_ok_and_violation(robolang_system):
 
 def test_uniqueness_violation_constructed():
     system = intro_system()
-    h = system.application
     # declare a direct 2-jump type that differs from the composed route
-    legolang = h.models["legolang"]
-    legolang.graph = graph(["Initial", "GoForward", "Strange"])
-    legolang.typing("Strange").own = TypeRef("robolang", "Task")
-    robot = h.models["robot_1"]
-    robot.typing("GF").own = TypeRef("legolang", "GoForward")
+    legolang = system.find_model("legolang")
+    system = edited(
+        system,
+        "legolang",
+        graph=graph(["Initial", "GoForward", "Strange"]),
+        typings=retyped(legolang, {"Strange": {"own": TypeRef("robolang", "Task")}}),
+    )
+    robot = system.find_model("robot_1")
+    gf = {"GF": {"own": TypeRef("legolang", "GoForward")}}
+    system = edited(system, "robot_1", typings=retyped(robot, gf))
+    h = system.application
     # GF's composed 2-step type is Task; now claim T as its direct robolang type
     k, j, i = "robot_1", "legolang", "robolang"
     _, tau_kj = domain_of_definition(system, h, k, j)
@@ -182,8 +205,7 @@ def test_uniqueness_violation_constructed():
     _, tau_ki = domain_of_definition(system, h, k, i)
     assert partial_leq(compose_partial(tau_kj, tau_ji), tau_ki)
     # any 2-level hierarchy has no triple at all
-    two = Hierarchy("two", APPLICATION)
-    two.add_model(Model("only", graph(["N"])), ROOT_MODEL)
+    two = Hierarchy("two", APPLICATION).with_model(Model("only", graph(["N"])), ROOT_MODEL)
     assert check_uniqueness(System(two)) == []
 
 
@@ -191,22 +213,24 @@ def test_potency_range(robolang_system):
     assert check_potency(robolang_system) == []
     # T1 jumps two levels; shrinking Transition's potency to 1-1-* must break it
     system = load_fixture("robolang.mlh")
-    system.application.models["robolang"].potencies["Transition"] = parse_potency("1-1-*")
-    system.cache.clear()
+    robolang = system.find_model("robolang")
+    narrower = {**robolang.potencies, "Transition": parse_potency("1-1-*")}
+    system = edited(system, "robolang", potencies=narrower)
     bad = check_potency(system)
     assert any(v.element == "T1" and "outside range" in v.message for v in bad)
 
 
 def test_potency_depth_strictly_decreasing():
     system = intro_system()
-    h = system.application
-    h.models["robolang"].potencies["Task"] = parse_potency("1-1-2")
+    robolang = system.find_model("robolang")
+    task = {**robolang.potencies, "Task": parse_potency("1-1-2")}
+    system = edited(system, "robolang", potencies=task)
     # depth defaults: Initial gets 1, I gets 0: fine
-    system.cache.clear()
     assert check_potency(system) == []
     # force a depth violation: instance depth not smaller than the type's
-    h.models["legolang"].potencies["Initial"] = parse_potency("1-1-2")
-    system.cache.clear()
+    legolang = system.find_model("legolang")
+    initial = {**legolang.potencies, "Initial": parse_potency("1-1-2")}
+    system = edited(system, "legolang", potencies=initial)
     bad = check_potency(system)
     assert any(v.element == "Initial" and "depth" in v.message for v in bad)
 
@@ -215,7 +239,6 @@ def test_potency_data_type_attribute_levels(clock_system):
     # attributes expand to nodes typed two levels into the data hierarchy
     expanded = expand_attributes(clock_system, "sys_lang")
     system = clock_system.replace_model(expanded)
-    system.cache.clear()
     assert validate_hierarchy(system).ok
 
 
@@ -225,13 +248,13 @@ def test_potency_attribute_depth_exhausted(clock_system):
     run = expand_attributes(clock_system, "sys_run")
     lang = expand_attributes(clock_system, "sys_lang")
     system = clock_system.replace_model(run).replace_model(lang)
-    system.cache.clear()
     assert validate_hierarchy(system).ok
     value_node = next(n for n in run.graph.nodes if "=" in n)
-    deeper = Model("sys_run_run", graph(["v2"]))
-    deeper.typing("v2").own = TypeRef("sys_run", value_node)
-    system.application.add_model(deeper, "sys_run")
-    system.cache.clear()
+    deeper = Model(
+        "sys_run_run", graph(["v2"]), {"v2": ElementTyping(TypeRef("sys_run", value_node))}
+    )
+    app = system.application.with_model(deeper, "sys_run")
+    system = System(app, system.supplementary, system.data)
     bad = check_potency(system)
     assert any(v.element == "v2" and "exhausted" in v.message for v in bad)
 
@@ -239,43 +262,42 @@ def test_potency_attribute_depth_exhausted(clock_system):
 def test_abstract_nodes_cannot_be_instantiated(combined_system):
     assert check_potency(combined_system) == []
     prop = combined_system.find_model("moving_obstacle")
-    prop.typing("g1").supplementary["ltl"] = TypeRef("ltl", "Unary")
-    combined_system.cache.clear()
-    bad = check_potency(combined_system)
+    changes = {"g1": {"supplementary": {"ltl": TypeRef("ltl", "Unary")}}}
+    system = edited(combined_system, "moving_obstacle", typings=retyped(prop, changes))
+    bad = check_potency(system)
     assert any("abstract" in v.message and v.element == "g1" for v in bad)
 
 
 def test_inheritance_fixture_and_violations(combined_system):
     assert check_inheritance(combined_system) == []
     ltl = combined_system.supplementary["ltl"].models["ltl"]
-    # self-inheritance
-    ltl.graph = graph(
-        ltl.graph.nodes, list(ltl.graph.arrows) + [("s_self", "Not", "Not")]
+    # self-inheritance; the new arrow gets the root arrow type at construction
+    system = edited(
+        combined_system,
+        "ltl",
+        graph=graph(ltl.graph.nodes, list(ltl.graph.arrows) + [("s_self", "Not", "Not")]),
+        inherit_arrows=ltl.inherit_arrows | {Arrow("s_self", "Not", "Not")},
     )
-    ltl.inherit_arrows = ltl.inherit_arrows | {Arrow("s_self", "Not", "Not")}
-    ltl.typing(Arrow("s_self", "Not", "Not")).own = TypeRef(ROOT_MODEL, Arrow("EReference", "EClass", "EClass"))
-    combined_system.cache.clear()
-    bad = check_inheritance(combined_system)
+    bad = check_inheritance(system)
     assert any("self-inheritance" in v.message for v in bad)
 
 
 def test_inheritance_child_typed_differently():
     system = intro_system()
-    h = system.application
-    lego = h.models["legolang"]
-    lego.graph = graph(["Initial", "GoForward"], [("s", "Initial", "GoForward")])
-    lego.inherit_arrows = frozenset({Arrow("s", "Initial", "GoForward")})
-    lego.typing(Arrow("s", "Initial", "GoForward")).own = TypeRef(
-        ROOT_MODEL, Arrow("EReference", "EClass", "EClass")
+    lego = system.find_model("legolang")
+    system = edited(
+        system,
+        "legolang",
+        graph=graph(["Initial", "GoForward"], [("s", "Initial", "GoForward")]),
+        inherit_arrows=frozenset({Arrow("s", "Initial", "GoForward")}),
+        # s gets the root arrow type at construction; Initial's parent says Task
+        typings=retyped(lego, {"Initial": {"own": TypeRef("robolang", "Trn")}}),
     )
-    lego.typing("Initial").own = TypeRef("robolang", "Trn")  # parent says Task
-    system.cache.clear()
     bad = check_inheritance(system)
     assert any(v.condition == "inheritance" and "differs from parent" in v.message for v in bad)
 
 
 def test_inheritance_name_clash():
-    h = Hierarchy("demo", APPLICATION)
     m = Model(
         "m",
         graph(
@@ -284,7 +306,7 @@ def test_inheritance_name_clash():
         ),
         inherit_arrows=frozenset({Arrow("s", "A", "B")}),
     )
-    h.add_model(m, ROOT_MODEL)
+    h = Hierarchy("demo", APPLICATION).with_model(m, ROOT_MODEL)
     bad = check_inheritance(System(h))
     assert any("redefines parent arrow name f" in v.message for v in bad)
 
@@ -292,20 +314,7 @@ def test_inheritance_name_clash():
 def test_multiplicity_upper_bound(pls_system):
     assert check_multiplicity(pls_system) == []
     # a hammer with two handles violates the 1..1 bound
-    system = load_fixture("pls.mlh")
-    cfg = system.application.models["hammer_config"]
-    cfg.graph = graph(
-        list(cfg.graph.nodes) + ["h1", "hd1", "hd2"],
-        [(a.name, a.src, a.tgt) for a in cfg.graph.arrows]
-        + [("hh1", "h1", "hd1"), ("hh2", "h1", "hd2")],
-    )
-    for n, t in (("h1", "Hammer"), ("hd1", "Handle"), ("hd2", "Handle")):
-        cfg.typing(n).own = TypeRef("hammer_plant", t)
-    for name, tgt in (("hh1", "hd1"), ("hh2", "hd2")):
-        cfg.typing(Arrow(name, "h1", tgt)).own = TypeRef(
-            "hammer_plant", Arrow("hasHandle", "Hammer", "Handle")
-        )
-    system.cache.clear()
+    system = two_handles(load_fixture("pls.mlh"))
     bad = check_multiplicity(system)
     assert any(
         v.element == "h1" and "exceed max 1" in v.message for v in bad
@@ -323,9 +332,9 @@ def test_dimensions_fixture_and_violation(combined_system):
     assert check_dimensions(combined_system) == []
     # a supplementary-hierarchy element must not itself be double-typed
     ltl = combined_system.supplementary["ltl"].models["ltl"]
-    ltl.typing("Not").data = TypeRef("dt2", "Boolean")
-    combined_system.cache.clear()
-    bad = check_dimensions(combined_system)
+    changes = {"Not": {"data": TypeRef("dt2", "Boolean")}}
+    system = edited(combined_system, "ltl", typings=retyped(ltl, changes))
+    bad = check_dimensions(system)
     assert any("outside the application dimension" in v.message for v in bad)
 
 
@@ -367,9 +376,9 @@ def test_potency_monotonicity(robolang_system):
     """Tightening an element's potency never repairs a violation."""
     base = validate_hierarchy(robolang_system).violations
     system = load_fixture("robolang.mlh")
-    robolang = system.application.models["robolang"]
-    robolang.potencies["Transition"] = Potency(1, 1, None)  # tighter than 1-2-*
-    system.cache.clear()
+    robolang = system.find_model("robolang")
+    tighter = {**robolang.potencies, "Transition": Potency(1, 1, None)}  # tighter than 1-2-*
+    system = edited(system, "robolang", potencies=tighter)
     tightened = validate_hierarchy(system).violations
     assert set(base) <= set(tightened)
 
@@ -385,6 +394,50 @@ def test_attribute_sugar_round_trip(clock_system):
     exp2 = expand_attributes(clock_system, "sys_lang")
     col2 = collapse_attributes(clock_system, "sys_lang", exp2)
     assert col2.attr_decls == clock_system.find_model("sys_lang").attr_decls
+
+
+def test_attribute_sugar_leaves_the_system_it_reads_unchanged(clock_system):
+    before = save_hierarchy(clock_system)
+    for name in ("sys_lang", "sys_run"):
+        collapse_attributes(clock_system, name, expand_attributes(clock_system, name))
+        # a system without the remembered text serializes the models again
+        cold = System(clock_system.application, clock_system.supplementary, clock_system.data)
+        assert save_hierarchy(cold) == before, name
+
+
+def test_models_typings_and_hierarchies_are_frozen(combined_system):
+    model = combined_system.find_model("moving_obstacle")
+    h = combined_system.application
+    for value, field in (
+        (model, "graph"),
+        (model, "typings"),
+        (model.typings["g1"], "own"),
+        (model.typings["g1"], "supplementary"),
+        (h, "models"),
+        (h, "parents"),
+    ):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, getattr(value, field))
+    assert not hasattr(model, "typing") and not hasattr(model, "type_rest_by_root")
+    assert not hasattr(h, "add_model")
+    # a hierarchy gains a model only as a new value, which the system checks
+    extra = Model("a", graph(["X"]))
+    grown = h.with_model(extra, ROOT_MODEL)
+    assert "a" in grown and "a" not in h
+    supp = Hierarchy("s", SUPPLEMENTARY).with_model(extra, ROOT_MODEL)
+    with pytest.raises(ValueError, match="model a is held by hierarchies"):
+        System(grown, {"s": supp})
+
+
+def test_an_element_without_an_own_type_is_typed_by_the_root():
+    m = Model(
+        "m",
+        graph(["X", "Y"], [("f", "X", "Y")]),
+        {"Y": ElementTyping(data=TypeRef("dt2", "Int"))},
+    )
+    assert m.typings["X"] == ElementTyping(TypeRef(ROOT_MODEL, "EClass"))
+    assert m.typings["Y"] == ElementTyping(TypeRef(ROOT_MODEL, "EClass"), {}, TypeRef("dt2", "Int"))
+    assert m.typings[Arrow("f", "X", "Y")].own == TypeRef(ROOT_MODEL, ROOT_ARROW)
 
 
 def test_effective_potency_defaults(robolang_system):
@@ -598,14 +651,11 @@ def test_memoized_potencies_and_validation_agree_warm_and_cold_on_a_typing_cycle
 
 
 def test_a_system_refuses_a_model_name_two_hierarchies_hold():
-    app = Hierarchy("h", APPLICATION)
-    app.add_model(Model("a", graph(["X"], [])), ROOT_MODEL)
-    supp = Hierarchy("s", SUPPLEMENTARY)
-    supp.add_model(Model("a", graph(["Y"], [])), ROOT_MODEL)
+    app = Hierarchy("h", APPLICATION).with_model(Model("a", graph(["X"], [])), ROOT_MODEL)
+    supp = Hierarchy("s", SUPPLEMENTARY).with_model(Model("a", graph(["Y"], [])), ROOT_MODEL)
     with pytest.raises(ValueError, match="model a is held by hierarchies h and s"):
         System(app, {"s": supp})
-    data_named = Hierarchy("h", APPLICATION)
-    data_named.add_model(Model("dt2", graph(["X"], [])), ROOT_MODEL)
+    data_named = Hierarchy("h", APPLICATION).with_model(Model("dt2", graph(["X"], [])), ROOT_MODEL)
     with pytest.raises(ValueError, match="model dt2 is held by hierarchies h and data"):
         System(data_named)
     assert System(app).hierarchy_of("a") is app  # the root is in every hierarchy

@@ -153,11 +153,11 @@ hierarchy application h {
 
 def test_a_fragment_holds_on_an_instance_of_a_subtype():
     loaded = load_hierarchy(SUBTYPED_SNAPSHOTS)
-    system = System(loaded.application, {"ltl": ltl.make_ltl_hierarchy()}, loaded.data)
     fragments = {"busy": TypeRef("lang", "Task")}
-    system.application.add_model(
+    app = loaded.application.with_model(
         ltl.build_formula_model(parse_formula("busy"), "property", fragments), "lang"
     )
+    system = System(app, {"ltl": ltl.make_ltl_hierarchy()}, loaded.data)
     assert fragment_holds(system, "property", "n1", "run")
     assert not fragment_holds(system, "property", "n1", "idle")
 

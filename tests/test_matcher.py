@@ -1,7 +1,7 @@
 import pytest
 
 from mlmkit.graph import Arrow
-from mlmkit.hierarchy import elem_str
+from mlmkit.hierarchy import elem_str, validate_hierarchy
 from mlmkit.ltl import formula_system, parse_formula, unroll
 from mlmkit.matching import (
     Binding,
@@ -11,6 +11,7 @@ from mlmkit.matching import (
     match,
     match_for_model,
 )
+from mlmkit.mlhio import load_hierarchy
 from mlmkit.rewrite import apply_rule
 from mlmkit.rules import parse_rules
 
@@ -171,6 +172,39 @@ def test_bind_lhs_empty_from(fragment_system, robolang_rules):
     assert bindings
     hits = bind_lhs(fragment_system, ii, bindings[0], "robot_1_run_1")
     assert len(hits) == 1 and hits[0].mu == ()
+
+
+# C inherits from P but is typed by another language node, which breaks the
+# inheritance condition
+CHILD_TYPED_APART = """
+hierarchy application h {
+  model lang : root {
+    node A
+    node B
+  }
+  model inst : lang {
+    node P : A@lang
+    node C : B@lang
+    inherit s : C -> P
+  }
+}
+"""
+
+
+def test_type_compatibility_drops_a_child_typed_apart_from_its_parent():
+    """The typed search finds C under its parent P's type A; the level by
+    level re-check of bind_lhs reads C's own type B and keeps P alone."""
+    system = load_hierarchy(CHILD_TYPED_APART)
+    (rule,) = parse_rules("rule R { meta { mm1 { T } } from { x : T @ mm1 } to { x : T @ mm1 } }")
+    (b,) = [b for b in match_for_model(system, rule, "inst")[1] if dict(b.maps[1]) == {"T": "A"}]
+    partial_f = {i: b.model_at(i) for i in range(len(b.f))}
+    partial_maps = {i: b.level_map(i) for i in range(len(b.f))}
+    hits = graph_match(system, rule, rule.lhs, "inst", partial_f, partial_maps)
+    assert sorted(mu["x"] for mu in hits) == ["C", "P"]
+    assert [m.mu_map() for m in bind_lhs(system, rule, b, "inst")] == [{"x": "P"}]
+    assert validate_hierarchy(system).render() == (
+        "[inheritance] inst/C: typing into lang differs from parent P\n"
+    )
 
 
 def test_bind_lhs_requires_place_for_every_variable(robolang_system, robolang_rules):

@@ -21,7 +21,7 @@ from mlmkit.rewrite import (
 from mlmkit.rules import parse_rules
 from mlmkit.simulate import SeededChoice, Trace, parse_layers
 
-from conftest import FIXTURES, load_fixture
+from conftest import FIXTURES, edited, load_fixture
 from oracles import chain_rewrite
 from test_acceptance import _random_term
 
@@ -476,12 +476,11 @@ def test_assemble_replicates_legs(pls_system, pls_rules):
 
 
 def test_bounded_range_gives_one_variant_per_count(pls_system, pls_rules):
-    system = pls_system
-    plant = system.find_model("stool_plant")
+    plant = pls_system.find_model("stool_plant")
     from mlmkit.hierarchy import Multiplicity
 
-    plant.multiplicities[Arrow("hasLeg", "Stool", "Leg")] = Multiplicity(1, 2)
-    system.cache.clear()
+    bounded = {**plant.multiplicities, Arrow("hasLeg", "Stool", "Leg"): Multiplicity(1, 2)}
+    system = edited(pls_system, "stool_plant", multiplicities=bounded)
     asm = pls_rules["Assemble"]
     _, bindings = match_for_model(system, asm, "stool_config")
     pick = [

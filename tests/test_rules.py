@@ -267,6 +267,7 @@ def _check_block(block):
     )
     assert block.graph() == _fresh_graph(block)
     assert block.graph().search_plan == _fresh_search_order(_fresh_graph(block))
+    assert block.text == repr(block)
     for name in {e.name for e in els} | {"no-such-element"}:
         assert block.by_name(name) is _scan(block, name)
     for key, el in block.elements.items():
@@ -317,6 +318,18 @@ def _check_rule(rule):
         for el in rule.lhs.elements.values()
         if el.kind == "node" and el.type is not None and el.type.level == 1
     }
+    assert rule.meta_key == tuple(repr(block) for block in rule.meta)
+
+
+def test_rules_with_one_meta_chain_share_one_key(ltl_rules):
+    """The parser gives the rules of ltl.mcmt one meta chain, so their keys
+    are equal and hold the same strings: the text of a meta block is taken
+    once, not once per rule."""
+    first, *rest = ltl_rules.values()
+    assert len(first.meta_key) == first.depth
+    for rule in rest:
+        assert rule.meta_key == first.meta_key
+        assert all(a is b for a, b in zip(rule.meta_key, first.meta_key))
 
 
 # every pairing of hierarchy and rule file, with the models rules are applied to

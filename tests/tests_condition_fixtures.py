@@ -7,6 +7,7 @@ from mlmkit.graph import Arrow, GraphMorphism, graph
 from mlmkit.hierarchy import (
     APPLICATION,
     ROOT_MODEL,
+    ElementTyping,
     Hierarchy,
     Model,
     System,
@@ -20,20 +21,23 @@ from mlmkit.hierarchy import (
     parse_potency,
 )
 
-from conftest import load_fixture
+from conftest import edited, load_fixture, retyped
 
 
 def _non_dangling():
     ok_system = load_fixture("robolang.mlh")
     passing = check_non_dangling(ok_system) == []
-    h = Hierarchy("d", APPLICATION)
     lang = Model("lang", graph(["A", "B"], [("f", "A", "B")]))
-    h.add_model(lang, ROOT_MODEL)
-    inst = Model("inst", graph(["x", "y"], [("g", "x", "y")]))
-    inst.typing("x").own = TypeRef("lang", "B")  # source type does not fit f
-    inst.typing("y").own = TypeRef("lang", "B")
-    inst.typing(Arrow("g", "x", "y")).own = TypeRef("lang", Arrow("f", "A", "B"))
-    h.add_model(inst, "lang")
+    inst = Model(
+        "inst",
+        graph(["x", "y"], [("g", "x", "y")]),
+        {
+            "x": ElementTyping(TypeRef("lang", "B")),  # source type does not fit f
+            "y": ElementTyping(TypeRef("lang", "B")),
+            Arrow("g", "x", "y"): ElementTyping(TypeRef("lang", Arrow("f", "A", "B"))),
+        },
+    )
+    h = Hierarchy("d", APPLICATION).with_model(lang, ROOT_MODEL).with_model(inst, "lang")
     bad = check_non_dangling(System(h))
     seeded = any(v.condition == "non-dangling" and "g" in v.element for v in bad)
     return passing, seeded, f"{len(bad)} violation(s)"
@@ -63,23 +67,23 @@ def _potency():
     passing = check_potency(ok_system) == []
     # range: a two-level jump against a 1-1 potency
     system = load_fixture("robolang.mlh")
-    system.application.models["robolang"].potencies["Transition"] = parse_potency("1-1-*")
-    system.cache.clear()
+    robolang = system.find_model("robolang")
+    narrower = {**robolang.potencies, "Transition": parse_potency("1-1-*")}
+    system = edited(system, "robolang", potencies=narrower)
     range_bad = check_potency(system)
     range_hit = any(v.element == "T1" and "outside range" in v.message for v in range_bad)
     # depth: instance depth not strictly below the type's
     system2 = load_fixture("robolang.mlh")
-    system2.application.models["legolang"].potencies["GoForward"] = parse_potency("1-1-3")
-    system2.application.models["robot_1"].potencies["GF"] = parse_potency("1-1-3")
-    system2.cache.clear()
+    for name, elem in (("legolang", "GoForward"), ("robot_1", "GF")):
+        pots = {**system2.find_model(name).potencies, elem: parse_potency("1-1-3")}
+        system2 = edited(system2, name, potencies=pots)
     depth_bad = check_potency(system2)
     depth_hit = any(v.element == "GF" and "strictly" in v.message for v in depth_bad)
     # abstract types cannot be instantiated directly
     system3 = load_fixture("robolang_ltl.mlh")
-    system3.find_model("moving_obstacle").typing("g1").supplementary["ltl"] = TypeRef(
-        "ltl", "Formula"
-    )
-    system3.cache.clear()
+    prop = system3.find_model("moving_obstacle")
+    changes = {"g1": {"supplementary": {"ltl": TypeRef("ltl", "Formula")}}}
+    system3 = edited(system3, "moving_obstacle", typings=retyped(prop, changes))
     abstract_hit = any(
         "abstract" in v.message for v in check_potency(system3)
     )
@@ -89,49 +93,54 @@ def _potency():
 def _inheritance():
     ok_system = load_fixture("robolang_ltl.mlh")
     passing = check_inheritance(ok_system) == []
-    h = Hierarchy("d", APPLICATION)
     m = Model(
         "m",
         graph(["A", "B"], [("s", "A", "B")]),
         inherit_arrows=frozenset({Arrow("s", "A", "B")}),
     )
-    h.add_model(m, ROOT_MODEL)
-    base = System(h)
+    base = System(Hierarchy("d", APPLICATION).with_model(m, ROOT_MODEL))
     base_ok = check_inheritance(base) == []
     # child typed differently from its parent
-    h2 = Hierarchy("d2", APPLICATION)
     lang = Model("lang", graph(["T", "U"]))
-    h2.add_model(lang, ROOT_MODEL)
     inst = Model(
         "inst",
         graph(["a", "b"], [("s", "a", "b")]),
+        {"a": ElementTyping(TypeRef("lang", "T")), "b": ElementTyping(TypeRef("lang", "U"))},
         inherit_arrows=frozenset({Arrow("s", "a", "b")}),
     )
-    inst.typing("a").own = TypeRef("lang", "T")
-    inst.typing("b").own = TypeRef("lang", "U")
-    h2.add_model(inst, "lang")
+    h2 = Hierarchy("d2", APPLICATION).with_model(lang, ROOT_MODEL).with_model(inst, "lang")
     bad = check_inheritance(System(h2))
     seeded = any(v.condition == "inheritance" and v.element == "a" for v in bad)
     return passing and base_ok, seeded, f"{len(bad)} violation(s)"
 
 
+def two_handles(system):
+    """The pls system with a hammer h1 that has two handles."""
+    cfg = system.find_model("hammer_config")
+    changes = {
+        n: {"own": TypeRef("hammer_plant", t)}
+        for n, t in (("h1", "Hammer"), ("hd1", "Handle"), ("hd2", "Handle"))
+    }
+    for name, tgt in (("hh1", "hd1"), ("hh2", "hd2")):
+        changes[Arrow(name, "h1", tgt)] = {
+            "own": TypeRef("hammer_plant", Arrow("hasHandle", "Hammer", "Handle"))
+        }
+    return edited(
+        system,
+        "hammer_config",
+        graph=graph(
+            list(cfg.graph.nodes) + ["h1", "hd1", "hd2"],
+            [(a.name, a.src, a.tgt) for a in cfg.graph.arrows]
+            + [("hh1", "h1", "hd1"), ("hh2", "h1", "hd2")],
+        ),
+        typings=retyped(cfg, changes),
+    )
+
+
 def _multiplicity():
     ok_system = load_fixture("pls.mlh")
     passing = check_multiplicity(ok_system) == []
-    system = load_fixture("pls.mlh")
-    cfg = system.application.models["hammer_config"]
-    cfg.graph = graph(
-        list(cfg.graph.nodes) + ["h1", "hd1", "hd2"],
-        [(a.name, a.src, a.tgt) for a in cfg.graph.arrows]
-        + [("hh1", "h1", "hd1"), ("hh2", "h1", "hd2")],
-    )
-    for n, t in (("h1", "Hammer"), ("hd1", "Handle"), ("hd2", "Handle")):
-        cfg.typing(n).own = TypeRef("hammer_plant", t)
-    for name, tgt in (("hh1", "hd1"), ("hh2", "hd2")):
-        cfg.typing(Arrow(name, "h1", tgt)).own = TypeRef(
-            "hammer_plant", Arrow("hasHandle", "Hammer", "Handle")
-        )
-    system.cache.clear()
+    system = two_handles(load_fixture("pls.mlh"))
     bad = check_multiplicity(system)
     seeded = any(v.element == "h1" and "exceed max 1" in v.message for v in bad)
     # intermediate states stay legal without strict mode
@@ -147,8 +156,8 @@ def _dimensions():
     passing = check_dimensions(ok_system) == []
     system = load_fixture("robolang_ltl.mlh")
     ltl = system.supplementary["ltl"].models["ltl"]
-    ltl.typing("Not").data = TypeRef("dt2", "Boolean")
-    system.cache.clear()
+    changes = {"Not": {"data": TypeRef("dt2", "Boolean")}}
+    system = edited(system, "ltl", typings=retyped(ltl, changes))
     bad = check_dimensions(system)
     seeded = any(
         v.element == "Not" and "application dimension" in v.message for v in bad
