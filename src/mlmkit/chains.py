@@ -3,7 +3,8 @@
 A chain holds one graph per level (level 0 on top) and a family of partial
 typing morphisms between levels, total into level 0.  Inclusion chains are
 chains of subgraphs of a common base graph; a multilevel typing of a graph
-refactors into an inclusion chain plus a chain morphism.  A rewrite can be
+refactors into an inclusion chain plus a chain morphism
+(diagnose.refactoring_morphism).  A rewrite can be
 stated here: a pushout of chains is computed level-wise over the base pushout
 and extended over untouched levels, and deletion retypes its result by
 reduct.  The rewrite module applies rules on graphs alone; the tests build
@@ -13,7 +14,7 @@ each application this way too and check that the two agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graph import (
     Graph,
@@ -153,49 +154,6 @@ def compose_chain(c1: ChainMorphism, c2: ChainMorphism) -> ChainMorphism:
 
 
 # ---------------------------------------------------------------------------
-# Refactoring multilevel typing into a chain morphism
-# ---------------------------------------------------------------------------
-
-
-def build_inclusion_chain(
-    g: Graph, sigma: Sequence[GraphMorphism]
-) -> tuple[InclusionChain, ChainMorphism]:
-    """From a multilevel typing (a family of partial morphisms sigma_i from g
-    into the levels of a chain, sigma_0 total) build the inclusion chain of
-    definedness subgraphs and the chain morphism of total components."""
-    if not sigma or not sigma[0].is_total:
-        raise ValueError("sigma_0 must be total")
-    for s in sigma:
-        if s.dom != g:
-            raise ValueError("typing family must share the typed graph as domain")
-    subs = []
-    for s in sigma[1:]:
-        d = s.definedness()
-        subs.append(d.to_graph())
-    chain = inclusion_chain(g, subs)
-    n = len(sigma) - 1
-    # intersection condition of a multilevel typing: where two domains overlap
-    # the deeper typing must factor through the typing morphism between levels
-    phis = tuple(
-        GraphMorphism(chain.levels[i], sigma[i].cod, dict(sigma[i].nodes), dict(sigma[i].arrows))
-        for i in range(n + 1)
-    )
-    cm = ChainMorphism(chain, _target_chain_of(sigma), tuple(range(n + 1)), phis)
-    bad = cm.validate()
-    if bad:
-        raise ValueError("; ".join(bad))
-    return chain, cm
-
-
-def _target_chain_of(sigma: Sequence[GraphMorphism]) -> GraphChain:
-    # The codomain family of a multilevel typing, packaged as a chain without
-    # typing morphisms: callers that need the real taus pass a full chain to
-    # the checkers below instead.
-    levels = tuple(s.cod for s in sigma)
-    return GraphChain(levels, {})
-
-
-# ---------------------------------------------------------------------------
 # Diagnostics
 # ---------------------------------------------------------------------------
 
@@ -277,16 +235,6 @@ def check_chain_morphism(cm: ChainMorphism, check_pullback: bool = True) -> list
             )
             out.append(PairDiagnostic(i, j, d.status, d.pullback, d.offenders))
     return out
-
-
-def render_diagnostics(title: str, diags: Iterable[PairDiagnostic]) -> str:
-    lines = [title]
-    for d in sorted(diags, key=lambda d: (d.j, d.i)):
-        verdict = d.status if d.ok else "FAIL"
-        extra = f" pullback={'yes' if d.pullback else 'no'}"
-        off = f" offenders={','.join(d.offenders)}" if d.offenders else ""
-        lines.append(f"  pair ({d.i},{d.j}): {verdict}{extra}{off}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

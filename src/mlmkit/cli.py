@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .diagnose import binding_report, refactoring_report
+from .graph import SizeCapExceeded
 from .hierarchy import ROOT_MODEL, ValidationReport, check_typing_structure, validate_hierarchy
 from .matching import bind_lhs, match_for_model
 from .mlhio import LoadError, export_dot, load_hierarchy, save_hierarchy
@@ -21,7 +22,7 @@ from .rewrite import (
     proliferate,
     render_two_level_rule,
 )
-from .rules import RuleError, parse_rules, substitute_parameters
+from .rules import RuleError, parse_param, parse_rules, substitute_parameters
 from .simulate import (
     InteractiveChoice,
     SeededChoice,
@@ -70,17 +71,7 @@ def _pick_rule(rules: dict, name: str, params: list):
     if name not in rules:
         raise RuleError(f"unknown rule {name}")
     rule = rules[name]
-    bound = {}
-    for p in params or []:
-        k, eq, v = (part.strip() for part in p.partition("="))
-        if not eq:
-            raise RuleError(f"--param {p}: expected NAME=INTEGER")
-        if k not in rule.params:
-            raise RuleError(f"rule {name} has no parameter {k}")
-        try:
-            bound[k] = int(v)
-        except ValueError:
-            raise RuleError(f"--param {p}: {v!r} is not an integer") from None
+    bound = dict(parse_param(p, f"--param {p}") for p in params or [])
     if rule.params or bound:
         rule = substitute_parameters(rule, bound)
     return rule
@@ -97,11 +88,13 @@ def cmd_match(args) -> int:
     system = _load_typed(args.hierarchy, args.model)
     rule = _pick_rule(_load_rules(args.rules), args.rule, args.param)
     found, bindings = match_for_model(system, rule, args.model)
-    for k, b in enumerate(bindings, start=1):
+    # every match before any output, so that an error leaves stdout empty
+    matches = [bind_lhs(system, rule, b, args.model) for b in bindings]
+    for k, (b, lhs) in enumerate(zip(bindings, matches), start=1):
         sys.stdout.write(f"binding {k} [{b.digest()}]\n")
         for line in b.render().splitlines():
             sys.stdout.write("  " + line + "\n")
-        for m in bind_lhs(system, rule, b, args.model):
+        for m in lhs:
             pairs = ", ".join(f"{a} -> {bb}" for a, bb in ((str(x), str(y)) for x, y in m.mu))
             sys.stdout.write(f"  lhs [{m.digest()}]: {pairs}\n")
     sys.stdout.write(f"{len(bindings)} binding(s)\n")
@@ -291,7 +284,7 @@ def main(argv=None) -> int:
     except _IllTyped as e:
         sys.stdout.write(str(e))
         return 1
-    except (LoadError, RuleError) as e:
+    except (LoadError, RuleError, SizeCapExceeded) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except FileNotFoundError as e:

@@ -18,7 +18,7 @@ from .chains import (
     inclusion_chain,
 )
 from .graph import Arrow, Graph, GraphMorphism
-from .hierarchy import ROOT_MODEL, System, domain_between
+from .hierarchy import ROOT_ARROW, ROOT_MODEL, ROOT_NODE, System, domain_between
 from .matching import Binding, bind_lhs, build_stack, match
 from .rules import McmtRule
 
@@ -68,12 +68,10 @@ def refactoring_report(system: System, model_name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _rule_chain(rule: McmtRule, root_graph: Graph, lhs: bool = True) -> GraphChain:
+def _rule_chain(rule: McmtRule, root_graph: Graph) -> GraphChain:
     """The rule's pattern levels [root, mm1..mmn, FROM] as a graph chain with
     the declared typing as partial morphisms."""
-    blocks = [rule.meta_level(k) for k in range(1, rule.depth + 1)]
-    if lhs:
-        blocks.append(rule.lhs)
+    blocks = [*rule.meta, rule.lhs]
     graphs = [root_graph] + [b.graph() for b in blocks]
     taus = {}
     n = len(graphs) - 1
@@ -83,15 +81,10 @@ def _rule_chain(rule: McmtRule, root_graph: Graph, lhs: bool = True) -> GraphCha
             nodes, arrows = {}, {}
             for el in blk.elements.values():
                 if i == 0:
-                    img = (
-                        Arrow("EReference", "EClass", "EClass")
-                        if el.kind == "arrow"
-                        else "EClass"
-                    )
                     if el.kind == "arrow":
-                        arrows[el.key] = img
+                        arrows[el.key] = ROOT_ARROW
                     else:
-                        nodes[el.name] = img
+                        nodes[el.name] = ROOT_NODE
                     continue
                 chain = rule.type_chain(el)
                 if i in chain:
@@ -110,17 +103,14 @@ def binding_report(system: System, rule: McmtRule, model_name: str) -> str:
     stack = build_stack(system, model_name)
     found, bindings = match(system, rule, stack, structural=True)
     lines = [f"binding {rule.name} into {model_name}"]
-    any_candidate = False
+    cod = stack_chain(system, stack + [model_name])
+    dom = _rule_chain(rule, system.find_model(ROOT_MODEL).graph)
     k = 0
     for b in bindings:
         for m in bind_lhs(system, rule, b, model_name, structural=True):
             k += 1
-            any_candidate = True
             lines.append(f" candidate {k}:")
-            full_stack = stack + [model_name]
-            cod = stack_chain(system, full_stack)
-            dom = _rule_chain(rule, system.find_model(ROOT_MODEL).graph)
-            f = tuple(list(b.f) + [len(full_stack) - 1])
+            f = tuple(list(b.f) + [len(stack)])
             phis = []
             for i in range(rule.depth + 1):
                 beta = b.level_map(i)
@@ -148,6 +138,6 @@ def binding_report(system: System, rule: McmtRule, model_name: str) -> str:
                 verdict = d.status if d.ok else "FAIL"
                 off = f" offenders={','.join(d.offenders)}" if d.offenders else ""
                 lines.append(f"  pair ({d.i},{d.j}): {verdict}{off}")
-    if not any_candidate:
+    if not k:
         lines.append("  no structural candidates")
     return "\n".join(lines) + "\n"

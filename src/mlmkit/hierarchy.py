@@ -95,10 +95,12 @@ class Multiplicity:
 
 
 def parse_multiplicity(text: str) -> Multiplicity:
+    """LO..HI with an integer LO and an integer or * HI."""
     lo, _, hi = text.strip().partition("..")
-    if not _:
-        raise ValueError(f"bad multiplicity {text!r}")
-    return Multiplicity(int(lo), None if hi == "*" else int(hi))
+    try:
+        return Multiplicity(int(lo), None if hi == "*" else int(hi))
+    except ValueError:
+        raise ValueError(f"bad multiplicity {text}") from None
 
 
 DEFAULT_MULTIPLICITY = Multiplicity(0, None)
@@ -464,16 +466,21 @@ def type_closure(system: System, model_name: str, elem) -> list[TypeEntry]:
     return system.remember(ck, out, (model_name,))
 
 
-def type_refs(system: System, model_name: str, elem, _path: tuple = ()) -> frozenset:
+def type_refs(
+    system: System, model_name: str, elem, _path: tuple = (), _cut: Optional[list] = None
+) -> frozenset:
     """The (model, element) pairs of the element's type closure, except the
     element itself as its own zero-step entry: its inheritance ancestors and,
     outside the root, each type with that type's references in turn.  A type
     already on the path (a typing cycle, which check_typing_structure
-    reports) is not walked again."""
+    reports) is not walked again.  Only walks that cut nothing are memoized:
+    a walk cut at its path depends on that path."""
     ck = ("type-refs", model_name, elem)
     hit = system.cache.get(ck)
     if hit is not None:
         return hit[0]
+    cut = [] if _cut is None else _cut  # the types this walk and the walks under it skipped
+    cuts_before = len(cut)
     model = system.find_model(model_name)
     same = {elem}
     frontier = [elem]
@@ -492,8 +499,12 @@ def type_refs(system: System, model_name: str, elem, _path: tuple = ()) -> froze
             if typing:
                 for _, ref in typing.all_refs():
                     refs.add((ref.model, ref.elem))
-                    if (ref.model, ref.elem) not in path:
-                        refs |= type_refs(system, ref.model, ref.elem, path)
+                    if (ref.model, ref.elem) in path:
+                        cut.append((ref.model, ref.elem))
+                    else:
+                        refs |= type_refs(system, ref.model, ref.elem, path, cut)
+    if len(cut) > cuts_before:
+        return frozenset(refs)
     return system.remember(ck, frozenset(refs), (model_name,))
 
 

@@ -1,7 +1,10 @@
 """Plain-text serialization of hierarchies (`.mlh`) and DOT export.
 
-The format is line-oriented inside nested blocks, `//` comments, UTF-8, LF.
-Parsing and printing are mutually inverse on canonical output::
+The format is one statement per line inside nested blocks, `//` comments,
+UTF-8, LF.  It is read with the tokens, the cursor and the literal, potency
+and multiplicity readers of the rule format (rules.Cursor), and its
+literals print as rule literals do.  Parsing and printing are mutually
+inverse on canonical output::
 
     hierarchy application main {
       model robolang : root {
@@ -24,9 +27,6 @@ inferred from the hierarchy that model belongs to.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-
 from .graph import Arrow, Graph, graph
 from .hierarchy import (
     APPLICATION,
@@ -41,48 +41,15 @@ from .hierarchy import (
     ElementTyping,
     Hierarchy,
     Model,
-    Multiplicity,
     System,
     TypeRef,
     elem_str,
-    parse_potency,
 )
-from .rules import RuleError, Token, _lex
+from .rules import Cursor, RuleError, render_literal
 
 
 class LoadError(Exception):
     pass
-
-
-@dataclass
-class _Cursor:
-    toks: list
-    i: int = 0
-
-    def peek(self) -> Token:
-        j = self.i
-        while self.toks[j].kind == "nl":
-            j += 1
-        return self.toks[j]
-
-    def next(self) -> Token:
-        while self.toks[self.i].kind == "nl":
-            self.i += 1
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, text: str) -> Token:
-        t = self.next()
-        if t.text != text:
-            raise LoadError(f"{t.line}:{t.col}: expected {text!r}, found {t.text!r}")
-        return t
-
-    def ident(self) -> str:
-        t = self.next()
-        if t.kind != "ident":
-            raise LoadError(f"{t.line}:{t.col}: expected name, found {t.text!r}")
-        return t.text
 
 
 def load_hierarchy(text: str) -> System:
@@ -90,41 +57,9 @@ def load_hierarchy(text: str) -> System:
     malformed statements raise LoadError naming the offending line.  Each
     model and hierarchy is built once, whole, and the system last."""
     try:
-        cur = _Cursor(_lex(text))
+        blocks = _parse_blocks(Cursor(text))
     except RuleError as e:
-        raise LoadError(str(e))
-    # (hierarchy name, dimension, [(model, parent, statements)]) in document order
-    blocks: list[tuple[str, str, list]] = []
-    owners = {m: DATA_HIERARCHY.name for m in DATA_HIERARCHY.models if m != ROOT_MODEL}
-    while cur.peek().kind != "eof":
-        cur.expect("hierarchy")
-        dim = cur.ident()
-        name = cur.ident()
-        if dim == "application":
-            if any(d == APPLICATION for _, d, _ in blocks):
-                raise LoadError("there cannot be two application hierarchies in one system")
-            blocks.append((name, APPLICATION, []))
-        elif dim == "supplementary":
-            blocks.append((name, SUPPLEMENTARY, []))
-        else:
-            raise LoadError(f"unknown dimension {dim!r}")
-        cur.expect("{")
-        while cur.peek().text != "}":
-            at = cur.expect("model")
-            mname = cur.ident()
-            if mname in owners or mname == ROOT_MODEL:
-                where = f"hierarchy {owners[mname]}" if mname in owners else "every hierarchy"
-                raise LoadError(f"{at.line}:{at.col}: model {mname} already exists in {where}")
-            owners[mname] = name
-            cur.expect(":")
-            parent = cur.ident()
-            cur.expect("{")
-            stmts = []
-            while cur.peek().text != "}":
-                stmts.append(_parse_statement(cur))
-            cur.expect("}")
-            blocks[-1][2].append((mname, parent, stmts))
-        cur.expect("}")
+        raise LoadError(str(e)) from None
     graphs: dict = {}  # model name -> (graph, specialisation arrows)
     for _, _, pending in blocks:
         known = {ROOT_MODEL}
@@ -133,70 +68,90 @@ def load_hierarchy(text: str) -> System:
             if parent not in known:
                 raise LoadError(f"model {mname}: unknown parent {parent}")
             known.add(mname)
-    # the system holds the application hierarchy and, of two supplementary
-    # hierarchies with one name, the last
-    held = {}
-    for name, dim, pending in blocks:
-        held[name if dim == SUPPLEMENTARY else None] = (name, dim, pending)
     # what a type reference reads: model name -> (dimension, hierarchy, graph)
     places = {m: (DATA, None, model.graph) for m, model in DATA_HIERARCHY.models.items()}
     places[ROOT_MODEL] = (APPLICATION, None, ROOT.graph)
-    for name, dim, pending in held.values():
+    for name, dim, pending in blocks:
         places.update((m, (dim, name, graphs[m][0])) for m, _, _ in pending)
-    models = {
-        m: _resolve(m, *graphs[m], stmts, places) for *_, pending in blocks for m, _, stmts in pending
-    }
+    app, supplementary = Hierarchy("main", APPLICATION), {}
+    for name, dim, pending in blocks:
+        models = {m: _resolve(m, *graphs[m], stmts, places) for m, _, stmts in pending}
+        h = Hierarchy(name, dim, models, {m: p for m, p, _ in pending})
+        if dim == APPLICATION:
+            app = h
+        else:
+            supplementary[name] = h
+    return System(app, supplementary, DATA_HIERARCHY)
 
-    def build(name: str, dim: str, pending: list) -> Hierarchy:
-        models_here = {m: models[m] for m, _, _ in pending}
-        return Hierarchy(name, dim, models_here, {m: p for m, p, _ in pending})
 
-    app = build(*held.pop(None)) if None in held else Hierarchy("main", APPLICATION)
-    return System(app, {name: build(*doc) for name, doc in held.items()}, DATA_HIERARCHY)
+def _parse_blocks(cur: Cursor) -> list:
+    """(hierarchy name, dimension, [(model, parent, statements)]) per block,
+    in document order."""
+    blocks: list[tuple[str, str, list]] = []
+    owners = {m: DATA_HIERARCHY.name for m in DATA_HIERARCHY.models if m != ROOT_MODEL}
+    while cur.peek().kind != "eof":
+        at = cur.expect("hierarchy")
+        dim = cur.expect_kind("ident").text
+        name = cur.expect_kind("ident").text
+        if dim not in (APPLICATION, SUPPLEMENTARY):
+            raise RuleError(f"unknown dimension {dim!r}")
+        if dim == APPLICATION and any(d == APPLICATION for _, d, _ in blocks):
+            raise RuleError("there cannot be two application hierarchies in one system")
+        if dim == SUPPLEMENTARY and any(n == name and d == dim for n, d, _ in blocks):
+            raise RuleError(f"hierarchy {name} already exists", at.line, at.col)
+        pending: list = []
+        blocks.append((name, dim, pending))
+        cur.expect("{")
+        while cur.peek().text != "}":
+            at = cur.expect("model")
+            mname = cur.expect_kind("ident").text
+            if mname in owners or mname == ROOT_MODEL:
+                where = f"hierarchy {owners[mname]}" if mname in owners else "every hierarchy"
+                raise RuleError(f"model {mname} already exists in {where}", at.line, at.col)
+            owners[mname] = name
+            cur.expect(":")
+            parent = cur.expect_kind("ident").text
+            cur.expect("{")
+            stmts = []
+            while cur.peek().text != "}":
+                stmts.append(_parse_statement(cur))
+            cur.expect("}")
+            pending.append((mname, parent, stmts))
+        cur.expect("}")
+    return blocks
 
 
-def _parse_statement(cur: _Cursor) -> tuple:
+def _parse_statement(cur: Cursor) -> tuple:
     kw = cur.next()
     line = kw.line
     if kw.text == "node":
-        name = cur.ident()
+        name = cur.expect_kind("ident").text
         types, pot, mult, flags = _trailing(cur, arrow=False)
         return ("node", name, None, None, types, pot, None, flags, line)
     if kw.text == "arrow" or kw.text == "inherit":
-        name = cur.ident()
+        name = cur.expect_kind("ident").text
         cur.expect(":")
-        src = cur.ident()
+        src = cur.expect_kind("ident").text
         cur.expect("->")
-        tgt = cur.ident()
-        types, pot, mult, flags = ([], None, None, set())
-        if kw.text == "arrow":
-            types, pot, mult, flags = _trailing(cur, arrow=True)
-        kind = "inherit" if kw.text == "inherit" else "arrow"
-        return (kind, name, src, tgt, types, pot, mult, flags, line)
+        tgt = cur.expect_kind("ident").text
+        if kw.text == "inherit":
+            return ("inherit", name, src, tgt, [], None, None, set(), line)
+        types, pot, mult, flags = _trailing(cur, arrow=True)
+        return ("arrow", name, src, tgt, types, pot, mult, flags, line)
     if kw.text == "attr":
-        owner = cur.ident()
+        owner = cur.expect_kind("ident").text
         cur.expect(".")
-        aname = cur.ident()
+        aname = cur.expect_kind("ident").text
         t = cur.next()
         if t.text == ":":
-            dtype = cur.ident()
-            return ("attrdecl", owner, aname, dtype, line)
+            return ("attrdecl", owner, aname, cur.expect_kind("ident").text, line)
         if t.text == "=":
-            v = cur.next()
-            if v.kind == "num":
-                value: object = int(v.text)
-            elif v.kind == "str":
-                value = v.text[1:-1]
-            elif v.text in ("true", "false"):
-                value = v.text == "true"
-            else:
-                raise LoadError(f"{v.line}:{v.col}: bad attribute value {v.text!r}")
-            return ("attrval", owner, aname, value, line)
-        raise LoadError(f"{t.line}:{t.col}: expected : or = after attribute name")
-    raise LoadError(f"{kw.line}:{kw.col}: unknown statement {kw.text!r}")
+            return ("attrval", owner, aname, cur.literal(), line)
+        raise RuleError("expected : or = after attribute name", t.line, t.col)
+    raise RuleError(f"unknown statement {kw.text!r}", kw.line, kw.col)
 
 
-def _trailing(cur: _Cursor, arrow: bool):
+def _trailing(cur: Cursor, arrow: bool):
     """Optional `: TYPE@MODEL [@d] [& ...]`, `pot P`, `mult LO..HI`, `abstract`."""
     types: list[tuple[str, str]] = []
     pot = None
@@ -205,9 +160,9 @@ def _trailing(cur: _Cursor, arrow: bool):
     if cur.peek().text == ":":
         cur.next()
         while True:
-            tname = cur.ident()
+            tname = cur.expect_kind("ident").text
             cur.expect("@")
-            tmodel = cur.ident()
+            tmodel = cur.expect_kind("ident").text
             if cur.peek().text == "@":  # optional explicit level distance, ignored
                 cur.next()
                 cur.next()
@@ -220,16 +175,10 @@ def _trailing(cur: _Cursor, arrow: bool):
         t = cur.peek()
         if t.text == "pot":
             cur.next()
-            p = cur.next()
-            if p.kind != "pot":
-                raise LoadError(f"{p.line}:{p.col}: bad potency {p.text!r}")
-            pot = parse_potency(p.text)
+            pot = cur.potency()
         elif t.text == "mult" and arrow:
             cur.next()
-            lo = cur.next()
-            cur.expect("..")
-            hi = cur.next()
-            mult = Multiplicity(int(lo.text), None if hi.text == "*" else int(hi.text))
+            mult = cur.multiplicity(cur.next())
         elif t.text == "abstract":
             cur.next()
             flags.add("abstract")
@@ -408,14 +357,7 @@ def _model_text(system: System, h: Hierarchy, name: str) -> str:
             out.append(f"    attr {owner}.{aname} : {m.attr_decls[owner][aname]}")
     for owner in sorted(m.attr_values):
         for aname in sorted(m.attr_values[owner]):
-            v = m.attr_values[owner][aname]
-            if isinstance(v, bool):
-                lit = "true" if v else "false"
-            elif isinstance(v, str):
-                lit = f'"{v}"'
-            else:
-                lit = str(v)
-            out.append(f"    attr {owner}.{aname} = {lit}")
+            out.append(f"    attr {owner}.{aname} = {render_literal(m.attr_values[owner][aname])}")
     out.append("  }")
     return system.remember(("saved", name), "\n".join(out), (name,))
 

@@ -44,7 +44,7 @@ from .hierarchy import (
     validate_hierarchy,
 )
 from .matching import Binding, LhsMatch, _target, bind_lhs, match_for_model, typed_matches
-from .rules import McmtRule, PatternBlock, PatternElement, RuleError
+from .rules import McmtRule, PatternBlock, PatternElement, RuleError, TypeExpr, render_rule
 
 
 class NotApplicable(Exception):
@@ -400,36 +400,27 @@ def proliferate(system: System, rule: McmtRule, model_name: str) -> list[TwoLeve
 
 
 def render_two_level_rule(tlr: TwoLevelRule) -> str:
-    """Print a proliferated rule in the rule grammar, with its flattened type
-    graph as a single constant meta level."""
+    """Print a proliferated rule in the rule grammar: its flattened type
+    graph is a single constant meta level, and its elements are typed by the
+    names of their concrete types."""
     tg = tlr.type_graph()
-    lines = [f"rule {tlr.name} {{", "  meta {", "    mm1 {"]
-    for n in sorted(tg.nodes):
-        lines.append(f"      {n}$")
-    for a in sorted(tg.arrows):
-        lines.append(f"      {a.name}$ ({a.src} -> {a.tgt})")
-    lines += ["    }", "  }"]
-    for label, blk in (("from", tlr.lhs), ("to", tlr.rhs)):
-        lines.append(f"  {label} {{")
-        for el in blk.nodes() + blk.arrows():
-            ref = tlr.types.get(el.key)
-            tname = (
-                (ref.elem.name if isinstance(ref.elem, Arrow) else ref.elem)
-                if ref
-                else None
-            )
-            txt = el.name
-            if tname:
-                txt += f" : {tname} @ mm1"
-            if el.kind == "arrow":
-                txt += f" ({el.src} -> {el.tgt})"
-            lines.append(f"    {txt}")
-        for el in blk.nodes() + blk.arrows():
-            for attr in sorted(el.attrs):
-                lines.append(f"    {el.name}.{attr} = {el.attrs[attr].render()}")
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    meta = PatternBlock.of(
+        [PatternElement(n, "node", True) for n in tg.nodes]
+        + [PatternElement(a.name, "arrow", True, None, a.src, a.tgt) for a in tg.arrows]
+    )
+
+    def concrete(blk: PatternBlock) -> PatternBlock:
+        out = {}
+        for key, el in blk.elements.items():
+            ref = tlr.types.get(key)
+            if ref is None:
+                out[key] = replace(el, type=None)
+            else:
+                name = ref.elem.name if isinstance(ref.elem, Arrow) else ref.elem
+                out[key] = replace(el, type=TypeExpr(1, name))
+        return PatternBlock(out)
+
+    return render_rule(McmtRule(tlr.name, [], [meta], concrete(tlr.lhs), concrete(tlr.rhs)))
 
 
 def two_level_matches(system: System, tlr: TwoLevelRule, model_name: str) -> list[dict]:

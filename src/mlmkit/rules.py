@@ -32,6 +32,9 @@ Grammar (two-space indent, ``//`` comments, ``;`` or newline separators)::
     multiplicity suffix on the name:  f[1..2] : ...   or   f[n]
     potency constraint:  ... pot 1-2-*
     attribute clause:  x.attr = 5 | x.attr = ? | x.attr = p | x.attr = x.attr + 1
+
+The lexer and the token cursor, with its one reader per value kind
+(literal, potency, multiplicity), also read the hierarchy format.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from functools import cached_property
 from typing import Optional, Union
 
 from .graph import Arrow, Graph, GraphMorphism, graph
-from .hierarchy import Multiplicity, Potency, parse_potency
+from .hierarchy import Multiplicity, Potency, parse_multiplicity, parse_potency
 
 ROOT_LEVEL = 0
 
@@ -76,7 +79,7 @@ class AttrValue:
         if self.kind == "any":
             return "?"
         if self.kind == "lit":
-            return _render_literal(self.value)
+            return render_literal(self.value)
         if self.kind == "param":
             return str(self.value)
         out = f"{self.elem}.{self.attr}"
@@ -85,7 +88,7 @@ class AttrValue:
         return out
 
 
-def _render_literal(v) -> str:
+def render_literal(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, str):
@@ -361,8 +364,22 @@ def validate_rule(rule: McmtRule) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def parse_param(text: str, label: str) -> tuple[str, int]:
+    """One NAME=INTEGER parameter binding; an error names it by label."""
+    name, eq, value = (part.strip() for part in text.partition("="))
+    if not eq:
+        raise RuleError(f"{label}: expected NAME=INTEGER")
+    try:
+        return name, int(value)
+    except ValueError:
+        raise RuleError(f"{label}: {value!r} is not an integer") from None
+
+
 def substitute_parameters(rule: McmtRule, bindings: dict) -> McmtRule:
     """Replace every parameter occurrence with its integer value."""
+    for name in bindings:
+        if name not in rule.params:
+            raise RuleError(f"rule {rule.name} has no parameter {name}")
     missing = [p for p in rule.params if p not in bindings]
     if missing:
         raise RuleError(f"unbound parameters: {', '.join(missing)}")
@@ -412,7 +429,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str
     text: str
@@ -421,49 +438,39 @@ class Token:
 
 
 def _lex(text: str) -> list[Token]:
-    out, line, col, pos = [], 1, 1, 0
+    """The tokens of a text, ending in "eof"; whitespace, comments and
+    newlines only move the line and column that each token keeps."""
+    out, line, line_start, pos = [], 1, 0, 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            raise RuleError(f"unexpected character {text[pos]!r}", line, col)
+            raise RuleError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
         kind = m.lastgroup
-        tok = m.group()
         if kind == "nl":
-            out.append(Token("nl", "\n", line, col))
             line += 1
-            col = 1
-        elif kind not in ("ws", "comment"):
-            out.append(Token(kind, tok, line, col))
-            col += len(tok)
-        else:
-            col += len(tok)
+            line_start = m.end()
+        elif kind != "ws" and kind != "comment":
+            out.append(Token(kind, m.group(), line, pos - line_start + 1))
         pos = m.end()
-    out.append(Token("eof", "", line, col))
+    out.append(Token("eof", "", line, pos - line_start + 1))
     return out
 
 
-class _Parser:
+class Cursor:
+    """A position in the tokens of a text, shared by the rule parser and the
+    hierarchy loader, with one reader per value kind of the two formats."""
+
     def __init__(self, text: str):
         self.toks = _lex(text)
         self.i = 0
-        self.metas: dict = {}  # meta block tokens -> the first chain parsed from them
 
-    def peek(self, k: int = 0) -> Token:
-        j = self.i
-        seen = 0
-        while j < len(self.toks):
-            if self.toks[j].kind != "nl":
-                if seen == k:
-                    return self.toks[j]
-                seen += 1
-            j += 1
-        return self.toks[-1]
+    def peek(self) -> Token:
+        return self.toks[self.i]
 
     def next(self) -> Token:
-        while self.toks[self.i].kind == "nl":
-            self.i += 1
         t = self.toks[self.i]
-        self.i += 1
+        if t.kind != "eof":
+            self.i += 1
         return t
 
     def expect(self, text: str) -> Token:
@@ -477,6 +484,48 @@ class _Parser:
         if t.kind != kind:
             raise RuleError(f"expected {kind}, found {t.text!r}", t.line, t.col)
         return t
+
+    def literal(self) -> Union[int, str, bool]:
+        """An int, a "string", true or false."""
+        t = self.next()
+        if t.kind == "num":
+            return int(t.text)
+        if t.kind == "str":
+            return t.text[1:-1]
+        if t.text in ("true", "false"):
+            return t.text == "true"
+        raise RuleError(f"bad attribute value {t.text!r}", t.line, t.col)
+
+    def potency(self) -> Potency:
+        """A min-max-depth potency, read by parse_potency."""
+        t = self.next()
+        if t.kind != "pot":
+            raise RuleError(f"expected min-max-depth potency, found {t.text!r}", t.line, t.col)
+        return parse_potency(t.text)
+
+    def multiplicity(self, lo: Token) -> Multiplicity:
+        """A LO..HI multiplicity from its first token on, read by
+        parse_multiplicity."""
+        text = lo.text
+        if self.peek().text == "..":
+            text += self.next().text + self.next().text
+        try:
+            return parse_multiplicity(text)
+        except ValueError as e:
+            raise RuleError(str(e), lo.line, lo.col) from None
+
+
+class _Parser(Cursor):
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.metas: dict = {}  # meta block tokens -> the first chain parsed from them
+
+    def level(self) -> int:
+        """The K of an mmK level name."""
+        t = self.expect_kind("ident")
+        if not re.fullmatch(r"mm\d+", t.text):
+            raise RuleError(f"expected mm<level>, found {t.text!r}", t.line, t.col)
+        return int(t.text[2:])
 
     # -- grammar -----------------------------------------------------------
 
@@ -499,19 +548,14 @@ class _Parser:
         start = self.i
         self.expect("meta")
         self.expect("{")
-        expected = 1
         while self.peek().text != "}":
-            t = self.expect_kind("ident")
-            if not re.fullmatch(r"mm\d+", t.text):
-                raise RuleError(f"expected mm<level>, found {t.text!r}", t.line, t.col)
-            lvl = int(t.text[2:])
-            if lvl != expected:
+            t = self.peek()
+            if self.level() != len(meta) + 1:
                 raise RuleError(f"meta levels must be consecutive, found {t.text}", t.line, t.col)
-            expected += 1
             self.expect("{")
             meta.append(self._parse_block_body())
         self.expect("}")
-        tokens = tuple(t.text for t in self.toks[start : self.i] if t.kind != "nl")
+        tokens = tuple(t.text for t in self.toks[start : self.i])
         meta = self.metas.setdefault(tokens, tuple(meta))
         self.expect("from")
         self.expect("{")
@@ -540,7 +584,7 @@ class _Parser:
             self.next()
             attr = self.expect_kind("ident").text
             self.expect("=")
-            value = self._parse_attr_value(name)
+            value = self._parse_attr_value()
             hits = [e for e in elements.values() if e.name == name]
             if len(hits) != 1:
                 raise RuleError(f"attribute on undeclared element {name}", name_tok.line, name_tok.col)
@@ -554,16 +598,10 @@ class _Parser:
         if self.peek().text == "[":
             self.next()
             first = self.next()
-            if first.kind == "num" and self.peek().text == "..":
-                self.next()
-                hi = self.next()
-                mult = Multiplicity(
-                    int(first.text), None if hi.text == "*" else int(hi.text)
-                )
-            elif first.kind == "ident":
+            if first.kind == "ident" and self.peek().text == "]":
                 mult = first.text  # symbolic count
             else:
-                raise RuleError("bad multiplicity", first.line, first.col)
+                mult = self.multiplicity(first)
             self.expect("]")
         type_expr = None
         if self.peek().text == ":":
@@ -577,15 +615,12 @@ class _Parser:
             level = ROOT_LEVEL
             if self.peek().text == "@":
                 self.next()
-                lvl_tok = self.expect_kind("ident")
-                if not re.fullmatch(r"mm\d+", lvl_tok.text):
-                    raise RuleError("expected mm<level>", lvl_tok.line, lvl_tok.col)
-                level = int(lvl_tok.text[2:])
+                level = self.level()
             type_expr = TypeExpr(level, tname, marker)
         potency = None
         if self.peek().text == "pot":
             self.next()
-            potency = parse_potency(self._parse_potency_text())
+            potency = self.potency()
         if self.peek().text == "(":
             self.next()
             src = self.expect_kind("ident").text
@@ -594,7 +629,7 @@ class _Parser:
             self.expect(")")
             if potency is None and self.peek().text == "pot":
                 self.next()
-                potency = parse_potency(self._parse_potency_text())
+                potency = self.potency()
             _declare(
                 elements,
                 PatternElement(name, "arrow", constant, type_expr, src, tgt, potency, mult),
@@ -606,34 +641,23 @@ class _Parser:
                 elements, PatternElement(name, "node", constant, type_expr, None, None, potency)
             )
 
-    def _parse_potency_text(self) -> str:
-        t = self.next()
-        if t.kind != "pot":
-            raise RuleError(f"expected min-max-depth potency, found {t.text!r}", t.line, t.col)
-        return t.text
-
-    def _parse_attr_value(self, owner: str) -> AttrValue:
-        t = self.next()
+    def _parse_attr_value(self) -> AttrValue:
+        t = self.peek()
         if t.text == "?":
+            self.next()
             return AttrValue("any")
-        if t.kind == "num":
-            return AttrValue("lit", int(t.text))
-        if t.kind == "str":
-            return AttrValue("lit", t.text[1:-1])
-        if t.kind == "ident":
-            if t.text in ("true", "false"):
-                return AttrValue("lit", t.text == "true")
-            if self.peek().text == ".":
-                self.next()
-                attr = self.expect_kind("ident").text
-                delta: object = 0
-                if self.peek().text == "+":
-                    self.next()
-                    d = self.next()
-                    delta = int(d.text) if d.kind == "num" else d.text
-                return AttrValue("ref", None, t.text, attr, delta)
+        if t.kind != "ident" or t.text in ("true", "false"):
+            return AttrValue("lit", self.literal())
+        self.next()
+        if self.peek().text != ".":
             return AttrValue("param", t.text)
-        raise RuleError(f"bad attribute value {t.text!r}", t.line, t.col)
+        self.next()
+        attr = self.expect_kind("ident").text
+        delta: object = 0
+        if self.peek().text == "+":
+            self.next()
+            delta = self.literal() if self.peek().kind == "num" else self.next().text
+        return AttrValue("ref", None, t.text, attr, delta)
 
 
 def parse_rules(text: str) -> list[McmtRule]:

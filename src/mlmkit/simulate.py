@@ -21,7 +21,7 @@ from .hierarchy import System
 from .matching import bind_lhs, meta_bindings
 from .mlhio import save_hierarchy
 from .rewrite import NotApplicable, apply_rule
-from .rules import McmtRule, RuleError, substitute_parameters
+from .rules import McmtRule, RuleError, parse_param, substitute_parameters
 
 DEFAULT_STEP_BUDGET = 10_000
 
@@ -44,7 +44,8 @@ class LayerConfig:
 
     def resolve(self, rules: dict) -> list[list[tuple[str, McmtRule]]]:
         """Per layer, the rule objects in listing order with parameters
-        substituted; unknown names or unbound parameters fail here."""
+        substituted; unknown rules and unbound or undeclared parameters fail
+        here."""
         out = []
         for layer in self.layers:
             entry_rules = []
@@ -73,14 +74,9 @@ def parse_layers(text: str) -> LayerConfig:
         entries = []
         for item in re.findall(r"([A-Za-z_][A-Za-z_0-9]*)(\([^)]*\))?", body):
             name, args = item
-            params = []
-            if args:
-                for pair in args[1:-1].split(","):
-                    if not pair.strip():
-                        continue
-                    k, _, v = pair.partition("=")
-                    params.append((k.strip(), int(v.strip())))
-            entries.append((name, tuple(params)))
+            pairs = args[1:-1].split(",") if args else []
+            params = tuple(parse_param(p, name + args) for p in pairs if p.strip())
+            entries.append((name, params))
         if not entries:
             raise RuleError(f"empty layer: {raw!r}")
         layers.append(Layer(mode, tuple(entries)))

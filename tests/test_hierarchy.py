@@ -621,8 +621,9 @@ hierarchy supplementary s {
 @pytest.mark.parametrize("text", [CYCLE_WITH_ARROWS, CYCLE_WITH_DEPTH], ids=["arrows", "depth"])
 def test_memoized_potencies_and_validation_agree_warm_and_cold_on_a_typing_cycle(text):
     """On a typing cycle a potency walk that starts inside the cycle depends
-    on its path; memoized walks and reports must not carry that into the
-    values read from a cold system."""
+    on its path, and so does a type-reference walk cut at its path; memoized
+    walks and reports must not carry that into the values read from a cold
+    system."""
     warm = load_hierarchy(text)
     elements = [
         (name, x)
@@ -632,8 +633,10 @@ def test_memoized_potencies_and_validation_agree_warm_and_cold_on_a_typing_cycle
     # warm every walk from each end of the cycle, in both orders
     for name, x in elements + elements[::-1]:
         effective_potency(warm, name, x)
+        type_refs(warm, name, x)
     for name, x in elements:
         assert effective_potency(warm, name, x) == effective_potency(load_hierarchy(text), name, x)
+        assert type_refs(warm, name, x) == type_refs(load_hierarchy(text), name, x), (name, x)
     checks = (
         check_typing_structure,
         check_non_dangling,

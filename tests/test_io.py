@@ -94,8 +94,13 @@ hierarchy supplementary s {
             "hierarchy application h { model dt2 : root { node X } }",
             "1:27: model dt2 already exists in hierarchy data",
         ),
+        (
+            "hierarchy supplementary s { model a : root { node Y } }\n"
+            "hierarchy supplementary s { model b : root { node Z : Y@a } }\n",
+            "2:1: hierarchy s already exists",
+        ),
     ],
-    ids=["two-hierarchies", "one-hierarchy", "root", "data-type-model"],
+    ids=["two-hierarchies", "one-hierarchy", "root", "data-type-model", "two-supplementary"],
 )
 def test_a_model_name_held_twice_is_one_line_exit_two(tmp_path, capsys, text, where):
     with pytest.raises(LoadError) as err:
@@ -452,3 +457,69 @@ def test_cli_bad_param_is_one_line_and_exit_two(capsys, param, message):
     )
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", message)
+
+
+# a model whose every element is a candidate for a pattern of many elements
+SELF_LOOP = """
+hierarchy application h {
+  model lang : root {
+    node T
+    arrow e : T -> T
+  }
+  model run : lang {
+    node a : T@lang
+    arrow l : a -> a : e@lang
+  }
+}
+"""
+
+
+def test_cli_pattern_over_the_size_cap_is_one_line_exit_two(tmp_path, capsys):
+    chain = [f"x{k} : T @ mm1" for k in range(1, 41)]
+    chain += [f"e{k} : e @ mm1 (x{k} -> x{k + 1})" for k in range(1, 40)]
+    body = "\n    ".join(chain)
+    hierarchy, rules = tmp_path / "loop.mlh", tmp_path / "chain.mcmt"
+    hierarchy.write_text(SELF_LOOP)
+    rules.write_text(
+        f"rule Long {{\n  meta {{ mm1 {{ T$ e$ (T -> T) }} }}\n"
+        f"  from {{\n    {body}\n  }}\n  to {{\n    {body}\n  }}\n}}\n"
+    )
+    code = main(["match", str(hierarchy), str(rules), "--rule", "Long", "--model", "run"])
+    assert code == 2
+    assert _one_error_line(capsys) == "error: pattern has 79 elements, cap is 64"
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        (
+            "h.mlh",
+            "hierarchy application h {\n  model lang : root {\n    node T\n"
+            "    arrow e : T -> T mult x..2\n  }\n}\n",
+            "error: 4:27: bad multiplicity x..2",
+        ),
+        (
+            "r.mcmt",
+            "rule R {\n  meta { mm1 { T$ e$ (T -> T) } }\n"
+            "  from { x : T @ mm1  f[1..x] : e @ mm1 (x -> x) }\n  to { x : T @ mm1 }\n}\n",
+            "error: 3:25: bad multiplicity 1..x",
+        ),
+        ("l.layers", "layer once { StepTime(x=abc) }\n", "error: StepTime(x=abc): 'abc' is not an integer"),
+        ("l.layers", "layer once { StepTime(x) }\n", "error: StepTime(x): expected NAME=INTEGER"),
+        ("l.layers", "layer once { StepTime(x=1, zz=3) }\n", "error: rule StepTime has no parameter zz"),
+    ],
+    ids=["mlh-multiplicity", "mcmt-multiplicity", "layers-value", "layers-pair", "layers-name"],
+)
+def test_cli_bad_value_is_one_line_and_exit_two(tmp_path, capsys, name, text, message):
+    """Each value kind is read in one place, so a bad one is a positioned
+    one-line error in every format."""
+    path = tmp_path / name
+    path.write_text(text)
+    files = {"h.mlh": str(FIXTURES / "robolang.mlh"), "r.mcmt": str(FIXTURES / "robolang.mcmt")}
+    files[name] = str(path)
+    if name == "l.layers":
+        argv = ["simulate", files["h.mlh"], files["r.mcmt"], "--layers", str(path)]
+    else:
+        argv = ["match", files["h.mlh"], files["r.mcmt"], "--rule", "R"]
+    assert main(argv + ["--model", "robot_1_run_1"]) == 2
+    assert _one_error_line(capsys) == message

@@ -220,11 +220,50 @@ def test_proliferation_fragment_golden(fragment_system, robolang_rules):
     assert sorted(seen) == sorted(expected)
 
 
+# FROM clauses that a proliferated rule's matching enforces: a constant, a
+# potency constraint and a multiplicity
+CLAUSED = """
+hierarchy application h {
+  model lang : root {
+    node Task
+    arrow next : Task -> Task
+  }
+  model run : lang {
+    node k : Task@lang
+  }
+}
+"""
+
+CLAUSED_RULE = """
+rule Clauses {
+  meta { mm1 { Task$  next$ (Task -> Task) } }
+  from {
+    k$ : Task @ mm1
+    y : Task @ mm1 pot 1-2-*
+    f[0..3] : next @ mm1 (k -> y)
+  }
+  to {
+    k$ : Task @ mm1
+    y : Task @ mm1
+  }
+}
+"""
+
+
 def test_proliferated_rule_prints_in_rule_grammar(fragment_system, robolang_rules):
     out = proliferate(fragment_system, robolang_rules["FireTransition"], "robot_1_run_1")
     text = render_two_level_rule(out[0])
     reparsed = parse_rules(text)
     assert len(reparsed) == 1 and reparsed[0].depth == 1
+    (tlr,) = proliferate(load_hierarchy(CLAUSED), parse_rules(CLAUSED_RULE)[0], "run")
+    (again,) = parse_rules(render_two_level_rule(tlr))
+
+    def clauses(blk):
+        return [(e.name, e.constant, e.potency, e.mult) for e in blk.nodes() + blk.arrows()]
+
+    assert clauses(again.lhs) == clauses(tlr.lhs)
+    assert clauses(again.rhs) == clauses(tlr.rhs)
+    assert [e.type.name for e in again.lhs.nodes() + again.lhs.arrows()] == ["Task", "Task", "next"]
 
 
 def test_unmatched_rule_proliferates_to_nothing(fragment_system):

@@ -39,6 +39,9 @@ def test_layer_config_rejects_unknown_rule(robolang_rules):
     config = parse_layers("layer once { Missing }")
     with pytest.raises(RuleError):
         config.resolve(robolang_rules)
+    config = parse_layers("layer once { StepTime(x=1, zz=3) }")
+    with pytest.raises(RuleError, match="^rule StepTime has no parameter zz$"):
+        config.resolve(robolang_rules)
 
 
 def test_layer_config_rejects_bad_line():
@@ -46,6 +49,10 @@ def test_layer_config_rejects_bad_line():
         parse_layers("layer sometimes { A }")
     with pytest.raises(RuleError):
         parse_layers("")
+    with pytest.raises(RuleError, match=r"^StepTime\(x=abc\): 'abc' is not an integer$"):
+        parse_layers("layer once { StepTime(x=abc) }")
+    with pytest.raises(RuleError, match=r"^StepTime\(x\): expected NAME=INTEGER$"):
+        parse_layers("layer once { StepTime(x) }")
 
 
 def _tasks(system, model):
