@@ -66,10 +66,12 @@ def parse_potency(text: str) -> Potency:
     if len(parts) != 3:
         raise ValueError(f"bad potency {text!r}")
     conv = lambda v: None if v == "*" else int(v)
-    mn = conv(parts[0])
+    mn, mx = conv(parts[0]), conv(parts[1])
     if mn is None:
         raise ValueError("potency min cannot be *")
-    return Potency(mn, conv(parts[1]), conv(parts[2]))
+    if mx is not None and mn > mx:
+        raise ValueError(f"bad potency {text}: min {mn} exceeds max {mx}")
+    return Potency(mn, mx, conv(parts[2]))
 
 
 DEFAULT_POTENCY = Potency(1, 1, None)
@@ -95,12 +97,15 @@ class Multiplicity:
 
 
 def parse_multiplicity(text: str) -> Multiplicity:
-    """LO..HI with an integer LO and an integer or * HI."""
+    """LO..HI with an integer LO and an integer or * HI, LO <= HI."""
     lo, _, hi = text.strip().partition("..")
     try:
-        return Multiplicity(int(lo), None if hi == "*" else int(hi))
+        out = Multiplicity(int(lo), None if hi == "*" else int(hi))
     except ValueError:
         raise ValueError(f"bad multiplicity {text}") from None
+    if out.max is not None and out.min > out.max:
+        raise ValueError(f"bad multiplicity {text}: min {out.min} exceeds max {out.max}")
+    return out
 
 
 DEFAULT_MULTIPLICITY = Multiplicity(0, None)
@@ -791,50 +796,36 @@ def _potency_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
     out = []
     for e in m.graph.elements():
         for _, ref in m.typings[e].all_refs():
-            d = jump_distance(system, m.name, ref)
+            faults = instance_faults(system, m.name, ref)
             tpot = effective_potency(system, ref.model, ref.elem)
-            if not tpot.admits_distance(d):
-                out.append(
-                    Violation(
-                        "potency",
-                        m.name,
-                        elem_str(e),
-                        f"instance of {ref} at distance {d} outside range "
-                        f"{tpot.min}-{'*' if tpot.max is None else tpot.max}",
-                    )
-                )
-            if tpot.depth is not None and tpot.depth < 1:
-                out.append(
-                    Violation(
-                        "potency",
-                        m.name,
-                        elem_str(e),
-                        f"depth of type {ref} is exhausted",
-                    )
-                )
-            epot = effective_potency(system, m.name, e)
-            if tpot.depth is not None and (
-                epot.depth is None or epot.depth >= tpot.depth
-            ):
-                out.append(
-                    Violation(
-                        "potency",
-                        m.name,
-                        elem_str(e),
+            if tpot.depth is not None:
+                epot = effective_potency(system, m.name, e)
+                if epot.depth is None or epot.depth >= tpot.depth:
+                    faults.append(
                         f"depth {'*' if epot.depth is None else epot.depth} not strictly "
-                        f"less than depth {tpot.depth} of type {ref}",
+                        f"less than depth {tpot.depth} of type {ref}"
                     )
-                )
-            tgt_model = system.find_model(ref.model)
-            if isinstance(ref.elem, str) and ref.elem in tgt_model.abstract:
-                out.append(
-                    Violation(
-                        "potency",
-                        m.name,
-                        elem_str(e),
-                        f"direct instance of abstract {ref}",
-                    )
-                )
+            for fault in faults:
+                out.append(Violation("potency", m.name, elem_str(e), fault))
+    return out
+
+
+def instance_faults(system: System, model_name: str, ref: TypeRef) -> list[str]:
+    """The potency faults of a direct instance of ref in the model that hold
+    whatever the instance: the distance is outside the type's range, the
+    type's depth is exhausted, or the type is abstract."""
+    out = []
+    d = jump_distance(system, model_name, ref)
+    tpot = effective_potency(system, ref.model, ref.elem)
+    if not tpot.admits_distance(d):
+        out.append(
+            f"instance of {ref} at distance {d} outside range "
+            f"{tpot.min}-{'*' if tpot.max is None else tpot.max}"
+        )
+    if tpot.depth is not None and tpot.depth < 1:
+        out.append(f"depth of type {ref} is exhausted")
+    if isinstance(ref.elem, str) and ref.elem in system.find_model(ref.model).abstract:
+        out.append(f"direct instance of abstract {ref}")
     return out
 
 
@@ -907,12 +898,25 @@ def check_multiplicity(system: System, strict: bool = False) -> list[Violation]:
     return _per_model(system, "multiplicity", _multiplicity_part, strict)
 
 
-def _multiplicity_part(system: System, h: Hierarchy, m: Model, strict: bool) -> list[Violation]:
-    out = []
+def arrow_counts(system: System, model_name: str) -> dict:
+    """(own type, source) -> the number of the model's plain arrows with that
+    own type and source: the direct-instance counts that upper multiplicity
+    bounds limit."""
+    ck = ("arrow-counts", model_name)
+    hit = system.cache.get(ck)
+    if hit is not None:
+        return hit[0]
+    m = system.find_model(model_name)
     counts: dict[tuple, int] = {}
     for a in m.plain_arrows():
         key = (m.typings[a].own, a.src)
         counts[key] = counts.get(key, 0) + 1
+    return system.remember(ck, counts, (model_name,))
+
+
+def _multiplicity_part(system: System, h: Hierarchy, m: Model, strict: bool) -> list[Violation]:
+    out = []
+    counts = arrow_counts(system, m.name)
     for (ref, src), n in sorted(counts.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
         tgt_model = system.find_model(ref.model)
         if not isinstance(ref.elem, Arrow):

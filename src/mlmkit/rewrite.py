@@ -10,7 +10,14 @@ that proliferation recorded (a two-level rule).  A post-filter then runs
 every condition check of validate_hierarchy and rejects a result with any
 violation the system did not have before.  Validation is assembled from
 per-model facts that the new system value carries over, so the post-filter
-recomputes only the parts that read the rewritten model.  The same
+recomputes only the parts that read the rewritten model.  Before the build,
+application conditions derived from the hierarchy's potency and upper
+multiplicity constraints refuse an application whose result the
+post-filter is certain to reject (Heckel and Wagner, 1995): a created
+element whose bound type admits no direct instance there, or a created
+arrow that pushes its source past the upper bound of its type.  Such a
+refusal derives its text from the full build and post-filter only when the
+text is read.  The same
 rewrite built as a pushout of inclusion chains followed by a reduct is the
 reference construction that the tests check every shipped application
 against.
@@ -23,7 +30,7 @@ elements are named after their pattern variables with the smallest unused
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 from .graph import (
@@ -40,7 +47,9 @@ from .hierarchy import (
     Model,
     System,
     TypeRef,
+    arrow_counts,
     elem_str,
+    instance_faults,
     validate_hierarchy,
 )
 from .matching import Binding, LhsMatch, _target, bind_lhs, match_for_model, typed_matches
@@ -48,7 +57,16 @@ from .rules import McmtRule, PatternBlock, PatternElement, RuleError, TypeExpr, 
 
 
 class NotApplicable(Exception):
-    """The match is valid but the rewrite result violates a constraint."""
+    """The match is valid but the rewrite result violates a constraint.  The
+    text may be given as a function, which is called when the text is first
+    read."""
+
+    def __str__(self) -> str:
+        text = self.args[0]
+        if callable(text):
+            text = text()
+            self.args = (text,)
+        return text
 
 
 @dataclass
@@ -139,8 +157,12 @@ def apply_rule(
     the FROM-only part by final pullback complement, type the created
     elements by the binding images of their pattern types, then post-filter:
     run every condition check of validate_hierarchy on the result and raise
-    NotApplicable on any violation the system did not have before.  Callers
-    that guarantee validity themselves may skip the post-filter."""
+    NotApplicable on any violation the system did not have before.  With the
+    post-filter on, the potency and upper multiplicity conditions are checked
+    first, before anything is built, and an application they refuse raises
+    NotApplicable with the post-filter's text, derived when first read.
+    Callers that guarantee validity themselves may skip the post-filter and
+    the conditions with it."""
     if rule.params:
         raise RuleError(f"rule {rule.name} has unbound parameters")
     binding = lhs_match.binding
@@ -172,10 +194,84 @@ def _rewrite(
     type_of: Callable[[PatternElement], Optional[TypeRef]],
     postfilter: bool,
 ) -> ApplicationResult:
+    """The one path of both kinds of application: with the post-filter on,
+    the application conditions first, then the build.  A refusal's text is
+    the post-filter's, derived from the full build when first read."""
+    if postfilter and _refused(system, rule, model_name, mu, type_of):
+        text = partial(_post_filter_text, system, rule, model_name, binding, mu, type_of)
+        raise NotApplicable(text)
+    return _build(system, rule, model_name, binding, mu, type_of, postfilter)
+
+
+def _refused(system: System, rule, model_name: str, mu: dict, type_of) -> bool:
+    """The application conditions that the hierarchy's potency and upper
+    multiplicity constraints put on the rule: true only where the post-filter
+    is certain to report a fresh violation.  A created element is fresh, so
+    every potency fault of its bound types is.  A created arrow typed in the
+    application dimension changes the count of its own type at its source
+    to the current count, minus the arrows the rewrite deletes there, plus
+    the created ones; over the bound, that is fresh unless the system
+    already had the same count over it."""
+    added: dict = {}  # (own type, source) -> created arrows; a created source as (name,)
+    for el in rule.interface().elements.values():
+        if el.key in rule.lhs.elements:
+            continue
+        typing = _type_created(system, type_of(el))
+        if any(instance_faults(system, model_name, ref) for _, ref in typing.all_refs()):
+            return True
+        if el.kind == "arrow" and typing.own is not None:
+            key = (typing.own, mu[el.src] if el.src in mu else (el.src,))
+            added[key] = added.get(key, 0) + 1
+    if not added:
+        return False
+    model = system.find_model(model_name)
+    gone = {mu[el.key] for el in rule.lhs.arrows() if el.key not in rule.rhs.elements}
+    dropped = {mu[el.name] for el in rule.lhs.nodes() if el.key not in rule.rhs.elements}
+    gone |= {a for a in model.graph.arrows if a.tgt in dropped}  # a created arrow's source stays
+    counts = arrow_counts(system, model_name)
+    for (ref, src), n in added.items():
+        if not isinstance(ref.elem, Arrow):
+            continue
+        bound = system.find_model(ref.model).multiplicity(ref.elem).max
+        if bound is None:
+            continue
+        removed = sum(
+            1
+            for a in gone
+            if a.src == src and a not in model.inherit_arrows and model.typings[a].own == ref
+        )
+        old = counts.get((ref, src), 0)
+        new = old - removed + n
+        if new > bound and (old <= bound or new != old):
+            return True
+    return False
+
+
+def _post_filter_text(system: System, rule, model_name: str, binding, mu, type_of) -> str:
+    """The post-filter's text for an application refused before the build:
+    the build's own, from building and post-filtering it in full."""
+    try:
+        _build(system, rule, model_name, binding, mu, type_of, True)
+    except NotApplicable as e:
+        return str(e)
+    raise AssertionError(f"{rule.name}: refused before the build, accepted by the post-filter")
+
+
+def _build(
+    system: System,
+    rule: McmtRule | TwoLevelRule,
+    model_name: str,
+    binding: Binding,
+    mu: dict,
+    type_of: Callable[[PatternElement], Optional[TypeRef]],
+    postfilter: bool,
+) -> ApplicationResult:
     """The co-span rewrite of the target model at match mu: pushout, final
     pullback complement, rebuild of the model around the surviving records,
     typing of the created elements by type_of, TO attribute effects and the
-    optional post-filter."""
+    optional post-filter, which runs every condition check of
+    validate_hierarchy on the result and raises NotApplicable on any
+    violation the system did not have before."""
     model = system.find_model(model_name)
     target = model.graph
     fresh_nodes, fresh_arrows = _rename_created(rule, mu, target)

@@ -34,7 +34,8 @@ Grammar (two-space indent, ``//`` comments, ``;`` or newline separators)::
     attribute clause:  x.attr = 5 | x.attr = ? | x.attr = p | x.attr = x.attr + 1
 
 The lexer and the token cursor, with its one reader per value kind
-(literal, potency, multiplicity), also read the hierarchy format.
+(literal, potency, multiplicity), also read the hierarchy format and the
+layer format.
 """
 
 from __future__ import annotations
@@ -285,6 +286,18 @@ class McmtRule:
     def _sigmas(self) -> dict:
         return {}  # id(block) -> (block, morphisms)
 
+    @cached_property
+    def _substitutions(self) -> dict:
+        return {}  # params tuple -> the rule with them substituted
+
+    def substituted(self, params: tuple) -> "McmtRule":
+        """The rule with its parameters bound by params, a tuple of (name,
+        value) pairs: substituted once per tuple, the same value after."""
+        hit = self._substitutions.get(params)
+        if hit is None:
+            hit = self._substitutions[params] = substitute_parameters(self, dict(params))
+        return hit
+
     def sigma(self, block: PatternBlock) -> tuple[GraphMorphism, ...]:
         """Partial typing morphisms from a block's graph into each meta level
         graph, mm1 first (the root typing is left implicit as names); derived
@@ -423,7 +436,7 @@ _TOKEN_RE = re.compile(
   | (?P<num>-?\d+)
   | (?P<str>"[^"]*")
   | (?P<ident>[A-Za-z_][A-Za-z_0-9#]*)
-  | (?P<sym>[{}()\[\]:;=@$?.+*&])
+  | (?P<sym>[{}()\[\]:;=@$?.+*&,-])
 """,
     re.VERBOSE,
 )
@@ -457,8 +470,9 @@ def _lex(text: str) -> list[Token]:
 
 
 class Cursor:
-    """A position in the tokens of a text, shared by the rule parser and the
-    hierarchy loader, with one reader per value kind of the two formats."""
+    """A position in the tokens of a text, shared by the rule parser, the
+    hierarchy loader and the layer reader, with one reader per value kind of
+    the formats."""
 
     def __init__(self, text: str):
         self.toks = _lex(text)
@@ -501,7 +515,10 @@ class Cursor:
         t = self.next()
         if t.kind != "pot":
             raise RuleError(f"expected min-max-depth potency, found {t.text!r}", t.line, t.col)
-        return parse_potency(t.text)
+        try:
+            return parse_potency(t.text)
+        except ValueError as e:
+            raise RuleError(str(e), t.line, t.col) from None
 
     def multiplicity(self, lo: Token) -> Multiplicity:
         """A LO..HI multiplicity from its first token on, read by

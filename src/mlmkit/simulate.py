@@ -5,15 +5,16 @@ One step runs every layer once, in order: an ``exhaust`` layer applies the
 first applicable candidate in canonical order until none is left, a
 ``choose-one`` layer applies exactly one candidate picked by the choice
 source, a ``once`` layer applies its first candidate a single time.  A pass
-that applies nothing is a fixpoint.  Candidates rejected by the post-filter
-fall through to the next canonical candidate and are recorded in the trace.
+that applies nothing is a fixpoint.  A candidate that apply_rule rejects,
+by its application conditions before the build or by the post-filter after
+it, falls through to the next canonical candidate; ``choose-one`` and
+``once`` layers record it in the trace as ``!rejected``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,7 +22,7 @@ from .hierarchy import System
 from .matching import bind_lhs, meta_bindings
 from .mlhio import save_hierarchy
 from .rewrite import NotApplicable, apply_rule
-from .rules import McmtRule, RuleError, parse_param, substitute_parameters
+from .rules import Cursor, McmtRule, RuleError, Token, parse_param
 
 DEFAULT_STEP_BUDGET = 10_000
 
@@ -54,35 +55,77 @@ class LayerConfig:
                     raise RuleError(f"unknown rule {name} in layer config")
                 rule = rules[name]
                 if rule.params or params:
-                    rule = substitute_parameters(rule, dict(params))
+                    rule = rule.substituted(params)
                 entry_rules.append((name, rule))
             out.append(entry_rules)
         return out
 
 
 def parse_layers(text: str) -> LayerConfig:
-    """`layer <mode> { Rule Rule(x=1) ... }` lines in priority order."""
+    """`layer <mode> { Rule Rule(x=1) ... }` statements in priority order,
+    read by the rule format's cursor: a parameter list touches its rule name,
+    and each parameter is a NAME=INTEGER pair."""
+    cur = Cursor(text)
     layers = []
-    for raw in text.splitlines():
-        line = raw.split("//")[0].strip()
-        if not line:
-            continue
-        m = re.fullmatch(r"layer\s+(exhaust|choose-one|once)\s*\{(.*)\}", line)
-        if not m:
-            raise RuleError(f"bad layer line: {raw!r}")
-        mode, body = m.group(1), m.group(2)
+    while cur.peek().kind != "eof":
+        start = cur.expect("layer")
+        mode = _mode(cur)
+        cur.expect("{")
         entries = []
-        for item in re.findall(r"([A-Za-z_][A-Za-z_0-9]*)(\([^)]*\))?", body):
-            name, args = item
-            pairs = args[1:-1].split(",") if args else []
-            params = tuple(parse_param(p, name + args) for p in pairs if p.strip())
-            entries.append((name, params))
+        while cur.peek().text != "}":
+            if cur.peek().text == ";":
+                cur.next()
+                continue
+            name = cur.expect_kind("ident")
+            glued = cur.peek().text == "(" and _touches(name, cur.peek())
+            entries.append((name.text, _params(cur, name) if glued else ()))
+        cur.expect("}")
         if not entries:
-            raise RuleError(f"empty layer: {raw!r}")
+            raise RuleError("empty layer", start.line, start.col)
         layers.append(Layer(mode, tuple(entries)))
     if not layers:
         raise RuleError("no layers defined")
     return LayerConfig(tuple(layers))
+
+
+def _touches(a: Token, b: Token) -> bool:
+    """b starts right where a ends."""
+    return a.line == b.line and b.col == a.col + len(a.text)
+
+
+def _mode(cur: Cursor) -> str:
+    """A layer mode; `choose-one` is read as the three tokens it lexes to."""
+    first = last = cur.expect_kind("ident")
+    mode = first.text
+    while cur.peek().text == "-" and _touches(last, cur.peek()):
+        dash = cur.next()
+        if not _touches(dash, cur.peek()):
+            break
+        last = cur.next()
+        mode += dash.text + last.text
+    if mode not in MODES:
+        raise RuleError(
+            f"expected a layer mode ({', '.join(MODES)}), found {mode!r}", first.line, first.col
+        )
+    return mode
+
+
+def _params(cur: Cursor, name: Token) -> tuple:
+    """The (NAME, INTEGER) pairs of a parenthesised, comma-separated list,
+    each read by parse_param from its source text."""
+    prev = cur.expect("(")
+    texts = [""]
+    while cur.peek().text not in (")", ""):
+        t = cur.next()
+        gap = " " * (t.col - prev.col - len(prev.text)) if t.line == prev.line else " "
+        if t.text == ",":
+            texts.append("")
+        else:
+            texts[-1] += gap + t.text
+        prev = t
+    cur.expect(")")
+    label = f"{name.text}({','.join(texts)})"
+    return tuple(parse_param(p, label) for p in texts if p.strip())
 
 
 def render_layers(config: LayerConfig) -> str:

@@ -544,6 +544,7 @@ def stale_facts(system, rules=()) -> list:
         "dom": hy.domain_between,
         "effective-potency": hy.effective_potency,
         "reach": hy.reach,
+        "arrow-counts": hy.arrow_counts,
         "validate": hy.validate_hierarchy,
         "meta": lambda s, model, meta_key: meta_bindings(s, by_meta[meta_key], model),
         "saved": lambda s, model: _model_text(s, s.hierarchy_of(model), model),

@@ -509,6 +509,7 @@ FACT_KINDS = {
     "dom",
     "effective-potency",
     "reach",
+    "arrow-counts",
     "validate",
     "meta",
     "match-target",

@@ -507,8 +507,45 @@ def test_cli_pattern_over_the_size_cap_is_one_line_exit_two(tmp_path, capsys):
         ("l.layers", "layer once { StepTime(x=abc) }\n", "error: StepTime(x=abc): 'abc' is not an integer"),
         ("l.layers", "layer once { StepTime(x) }\n", "error: StepTime(x): expected NAME=INTEGER"),
         ("l.layers", "layer once { StepTime(x=1, zz=3) }\n", "error: rule StepTime has no parameter zz"),
+        (
+            "h.mlh",
+            "hierarchy application h {\n  model lang : root {\n    node T\n"
+            "    arrow e : T -> T mult 5..2\n  }\n}\n",
+            "error: 4:27: bad multiplicity 5..2: min 5 exceeds max 2",
+        ),
+        (
+            "h.mlh",
+            "hierarchy application h {\n  model lang : root {\n    node T pot 3-1-*\n  }\n}\n",
+            "error: 3:16: bad potency 3-1-*: min 3 exceeds max 1",
+        ),
+        (
+            "r.mcmt",
+            "rule R {\n  meta { mm1 { T$ e$ (T -> T) } }\n"
+            "  from { x : T @ mm1  f[5..2] : e @ mm1 (x -> x) }\n  to { x : T @ mm1 }\n}\n",
+            "error: 3:25: bad multiplicity 5..2: min 5 exceeds max 2",
+        ),
+        (
+            "r.mcmt",
+            "rule R {\n  meta { mm1 { T$ e$ (T -> T) } }\n"
+            "  from { x : T @ mm1 pot 3-1-* }\n  to { x : T @ mm1 }\n}\n",
+            "error: 3:26: bad potency 3-1-*: min 3 exceeds max 1",
+        ),
+        ("l.layers", "layer once { StepTime (x=1) }\n", "error: 1:23: expected ident, found '('"),
+        ("l.layers", "layer once { Start; 42 !! }\n", "error: 1:24: unexpected character '!'"),
     ],
-    ids=["mlh-multiplicity", "mcmt-multiplicity", "layers-value", "layers-pair", "layers-name"],
+    ids=[
+        "mlh-multiplicity",
+        "mcmt-multiplicity",
+        "layers-value",
+        "layers-pair",
+        "layers-name",
+        "mlh-inverted-multiplicity",
+        "mlh-inverted-potency",
+        "mcmt-inverted-multiplicity",
+        "mcmt-inverted-potency",
+        "layers-detached-parameters",
+        "layers-junk",
+    ],
 )
 def test_cli_bad_value_is_one_line_and_exit_two(tmp_path, capsys, name, text, message):
     """Each value kind is read in one place, so a bad one is a positioned

@@ -598,3 +598,187 @@ def test_postfilter_with_carried_facts_agrees_with_a_cold_validation(monkeypatch
             system, _ = simulate.step(system, model, robolang_rules, config, chooser, trace, k)
             list_applications(system, [robolang_rules["DeleteTask"]], model)
     assert True in accepted and False in accepted
+
+
+# ---------------------------------------------------------------------------
+# Application conditions before the build
+# ---------------------------------------------------------------------------
+
+
+def _full_build_text(system, rule, model, m):
+    """The post-filter's text for an application built in full with the
+    application conditions off (None: accepted)."""
+    binding = m.binding
+    try:
+        rewrite._build(
+            system,
+            rule,
+            model,
+            binding,
+            m.mu_map(),
+            lambda el: rewrite._bound_type(rule, binding, el),
+            True,
+        )
+    except NotApplicable as e:
+        return str(e)
+    return None
+
+
+def test_conditions_refuse_exactly_the_post_filter_rejections_of_criterion_7(
+    monkeypatch, robolang_rules
+):
+    """Criterion 7 seeds 0-9: an application refused before the build has the
+    full build's text, read for every refusal; one that passes the
+    conditions fares as its full build does and is never rejected for
+    potency or multiplicity; the traces equal those of runs without the
+    conditions."""
+    config = parse_layers((FIXTURES / "robolang.layers").read_text(encoding="utf-8"))
+    model = "robot_1_run_1"
+    original, refused = rewrite.apply_rule, rewrite._refused
+    verdicts, early, late = [], [], []
+
+    def spy(*args):
+        verdicts.append(refused(*args))
+        return verdicts[-1]
+
+    def checked(system, rule, model_name, m, postfilter=True):
+        verdicts.clear()
+        want = _full_build_text(system, rule, model_name, m)
+        try:
+            res = original(system, rule, model_name, m, postfilter)
+        except NotApplicable as e:
+            got = str(e)
+            assert got == want
+            (early if verdicts == [True] else late).append(got)
+            raise
+        assert want is None and verdicts == [False]
+        return res
+
+    def traces():
+        out = []
+        for seed in range(10):
+            system, chooser, trace = load_fixture("robolang.mlh"), SeededChoice(seed), Trace(seed)
+            for k in range(1, 11):
+                system, _ = simulate.step(system, model, robolang_rules, config, chooser, trace, k)
+            out.append(trace.render())
+        return out
+
+    monkeypatch.setattr(rewrite, "_refused", spy)
+    monkeypatch.setattr(simulate, "apply_rule", checked)
+    with_conditions = traces()
+    assert not [t for t in late if "[potency]" in t or "[multiplicity]" in t]
+    assert any("[potency]" in t for t in early) and any("[multiplicity]" in t for t in early)
+    monkeypatch.setattr(rewrite, "_refused", lambda *args: False)
+    monkeypatch.setattr(simulate, "apply_rule", original)
+    assert traces() == with_conditions
+
+
+EDGES = """
+hierarchy application h {
+  model lang : root {
+    node T
+    node Far pot 2-2-*
+    node Spent pot 1-1-0
+    node Shape abstract
+    arrow e : T -> T mult 0..1
+  }
+  model run : lang {
+    node a : T@lang & S@sl
+    node b : T@lang & S@sl
+    node c : T@lang
+    arrow e1 : a -> b : e@lang
+    arrow e2 : a -> b : e@lang
+  }
+}
+hierarchy supplementary s {
+  model sl : root {
+    node S
+    arrow f : S -> S mult 0..1
+  }
+}
+"""
+
+EDGE_RULES = """
+rule Swap {
+  meta { mm1 { T$ ; e$ (T -> T) } }
+  from { x : T @ mm1 ; y : T @ mm1 ; g : e @ mm1 (x -> y) }
+  to { x : T @ mm1 ; y : T @ mm1 ; h : e @ mm1 (x -> y) }
+}
+rule Add {
+  meta { mm1 { T$ ; e$ (T -> T) } }
+  from { x : T @ mm1 ; y : T @ mm1 }
+  to { x : T @ mm1 ; y : T @ mm1 ; h : e @ mm1 (x -> y) }
+}
+rule Move {
+  meta { mm1 { T$ ; e$ (T -> T) } }
+  from { x : T @ mm1 ; y : T @ mm1 ; z : T @ mm1 }
+  to { x : T @ mm1 ; z : T @ mm1 ; h : e @ mm1 (x -> z) }
+}
+rule Sprout {
+  meta { mm1 { T$ ; e$ (T -> T) } }
+  from { }
+  to { n : T @ mm1 ; m : T @ mm1 ; h1 : e @ mm1 (n -> m) ; h2 : e @ mm1 (n -> m) }
+}
+rule Bud {
+  meta { mm1 { T$ ; e$ (T -> T) } }
+  from { }
+  to { a : T @ mm1 ; h : e @ mm1 (a -> a) }
+}
+rule Make {
+  meta { mm1 { K } }
+  from { }
+  to { n : K @ mm1 }
+}
+rule Link {
+  meta { mm1 { S$ ; f$ (S -> S) } }
+  from { x : S @ mm1 ; y : S @ mm1 }
+  to { x : S @ mm1 ; y : S @ mm1 ; h1 : f @ mm1 (x -> y) ; h2 : f @ mm1 (x -> y) }
+}
+"""
+
+
+def test_conditions_agree_with_the_post_filter_on_every_edge_match():
+    """Every match of small rules on a hand-built system whose `a` already
+    has two `e` arrows, one over the bound: refused before the build exactly
+    when the full build is rejected, with its text."""
+    system = load_hierarchy(EDGES)
+    outcomes = {}
+    for rule in parse_rules(EDGE_RULES):
+        _, bindings = match_for_model(system, rule, "run")
+        for b in bindings:
+            for m in bind_lhs(system, rule, b, "run"):
+                want = _full_build_text(system, rule, "run", m)
+                type_of = lambda el: rewrite._bound_type(rule, b, el)
+                assert rewrite._refused(system, rule, "run", m.mu_map(), type_of) == (
+                    want is not None
+                ), (rule.name, m.mu)
+                try:
+                    apply_rule(system, rule, "run", m)
+                    got = None
+                except NotApplicable as e:
+                    got = str(e)
+                assert got == want
+                outcomes.setdefault(rule.name, []).append(got)
+    over = "[multiplicity] run/a: 3 direct instances of e:T->T@lang exceed max 1"
+    # a source over its bound whose count the rule leaves unchanged
+    assert outcomes["Swap"] == [None, None]
+    # over the bound and rising; within it at b and c
+    assert sorted(outcomes["Add"], key=str) == [None] * 4 + [over] * 2
+    # deleting y = b drops a's two arrows into b, so a ends with one
+    assert sorted(outcomes["Move"], key=str) == [None] * 5 + [over]
+    # a created source
+    assert outcomes["Sprout"] == [
+        "[multiplicity] run/n_1: 2 direct instances of e:T->T@lang exceed max 1"
+    ]
+    # a created source named like the target's node a, which is over its bound
+    assert outcomes["Bud"] == [None]
+    # an arrow typed in a supplementary dimension has the root as own type
+    assert outcomes["Link"] == [None, None]
+    assert {t for t in outcomes["Make"] if t} == {
+        "[potency] run/n_1: instance of DT@dt1 at distance 2 outside range 1-1",
+        "[potency] run/n_1: instance of DTDT@dt1 at distance 2 outside range 1-1",
+        "[potency] run/n_1: instance of Init@dt1 at distance 2 outside range 1-1",
+        "[potency] run/n_1: instance of Far@lang at distance 1 outside range 2-2",
+        "[potency] run/n_1: direct instance of abstract Shape@lang",
+        "[potency] run/n_1: depth of type Spent@lang is exhausted",
+    }

@@ -14,6 +14,8 @@ from mlmkit.simulate import (
     ScriptedChoice,
     SeededChoice,
     Trace,
+    Layer,
+    LayerConfig,
     interactive_step,
     parse_layers,
     render_layers,
@@ -53,6 +55,47 @@ def test_layer_config_rejects_bad_line():
         parse_layers("layer once { StepTime(x=abc) }")
     with pytest.raises(RuleError, match=r"^StepTime\(x\): expected NAME=INTEGER$"):
         parse_layers("layer once { StepTime(x) }")
+    # junk and a parameter list apart from its rule name are refused where they stand
+    with pytest.raises(RuleError, match=r"^1:21: expected ident, found '42'$"):
+        parse_layers("layer once { Start; 42 }")
+    with pytest.raises(RuleError, match=r"^1:24: unexpected character '!'$"):
+        parse_layers("layer once { Start; 42 !! }")
+    with pytest.raises(RuleError, match=r"^1:23: expected ident, found '\('$"):
+        parse_layers("layer once { StepTime (x=1) }")
+    with pytest.raises(RuleError, match=r"^2:7: expected a layer mode"):
+        parse_layers("layer once { A }\nlayer choose - one { B }")
+
+
+def test_layer_fixtures_parse_to_their_configs():
+    read = lambda name: parse_layers((FIXTURES / name).read_text(encoding="utf-8"))
+    assert read("robolang.layers") == LayerConfig(
+        (
+            Layer("exhaust", (("DeleteTask", ()), ("Start", ()), ("FireTransition", ()))),
+            Layer(
+                "choose-one",
+                (("InsertInput", ()), ("InsertEffectiveInput", ()), ("DeleteInput", ())),
+            ),
+            Layer("once", (("StepTime", (("x", 1),)),)),
+            Layer("exhaust", (("DeleteTask", ()),)),
+        )
+    )
+    assert read("agents.layers") == LayerConfig(
+        (
+            Layer("exhaust", (("FireForAgent", ()),)),
+            Layer("choose-one", (("SenseBump", ()),)),
+            Layer("exhaust", (("ClearActiveMark", ()),)),
+        )
+    )
+
+
+def test_resolve_substitutes_each_parameterised_rule_once(robolang_rules):
+    """Every pass resolves the config again; a rule with parameters is the
+    same value each time, so its derived views are kept."""
+    config = layers()
+    first, again = config.resolve(robolang_rules), config.resolve(robolang_rules)
+    assert all(a is b for x, y in zip(first, again) for (_, a), (_, b) in zip(x, y))
+    (_, step_time), = first[2]
+    assert step_time is not robolang_rules["StepTime"] and not step_time.params
 
 
 def _tasks(system, model):
