@@ -23,14 +23,7 @@ from .rewrite import (
     render_two_level_rule,
 )
 from .rules import RuleError, parse_param, parse_rules, substitute_parameters
-from .simulate import (
-    InteractiveChoice,
-    SeededChoice,
-    Trace,
-    parse_layers,
-    run,
-    step,
-)
+from .simulate import InteractiveChoice, SeededChoice, parse_layers, run
 
 
 def _read(path: str) -> str:
@@ -153,19 +146,12 @@ def cmd_simulate(args) -> int:
     system = _load_typed(args.hierarchy, args.model)
     rules = _load_rules(args.rules)
     config = parse_layers(_read(args.layers))
+    chooser = None
     if args.interactive:
-        trace = Trace(args.seed)
         chooser = InteractiveChoice(sys.stdin, sys.stdout, SeededChoice(args.seed))
-        for k in range(1, args.steps + 1):
-            system, applied = step(
-                system, args.model, rules, config, chooser, trace, k
-            )
-            if not applied:
-                break
-    else:
-        system, trace = run(
-            system, args.model, rules, config, steps=args.steps, seed=args.seed
-        )
+    system, trace = run(
+        system, args.model, rules, config, steps=args.steps, seed=args.seed, chooser=chooser
+    )
     if args.trace:
         Path(args.trace).write_text(trace.render(), encoding="utf-8")
     text = save_hierarchy(system)
@@ -186,9 +172,7 @@ def cmd_check_chain(args) -> int:
     if args.model and not args.rule:
         out.append(refactoring_report(system, args.model))
     elif not args.rule:
-        for h in [system.application] + [
-            system.supplementary[k] for k in sorted(system.supplementary)
-        ]:
+        for h in system.user_hierarchies():
             for name in h.model_names():
                 if name != ROOT_MODEL:
                     out.append(refactoring_report(system, name))

@@ -70,30 +70,18 @@ def refactoring_report(system: System, model_name: str) -> str:
 
 def _rule_chain(rule: McmtRule, root_graph: Graph) -> GraphChain:
     """The rule's pattern levels [root, mm1..mmn, FROM] as a graph chain with
-    the declared typing as partial morphisms."""
+    the declared typing as partial morphisms: the total map into the root,
+    and the rule's own typing morphisms into the meta levels above."""
     blocks = [*rule.meta, rule.lhs]
-    graphs = [root_graph] + [b.graph() for b in blocks]
+    graphs = (root_graph, *(b.graph() for b in blocks))
     taus = {}
-    n = len(graphs) - 1
-    for j in range(1, n + 1):
-        blk = blocks[j - 1]
-        for i in range(j):
-            nodes, arrows = {}, {}
-            for el in blk.elements.values():
-                if i == 0:
-                    if el.kind == "arrow":
-                        arrows[el.key] = ROOT_ARROW
-                    else:
-                        nodes[el.name] = ROOT_NODE
-                    continue
-                chain = rule.type_chain(el)
-                if i in chain:
-                    if el.kind == "arrow":
-                        arrows[el.key] = chain[i]
-                    else:
-                        nodes[el.name] = chain[i]
-            taus[(j, i)] = GraphMorphism(graphs[j], graphs[i], nodes, arrows)
-    return GraphChain(tuple(graphs), taus)
+    for j, blk in enumerate(blocks, start=1):
+        nodes = {el.name: ROOT_NODE for el in blk.nodes()}
+        arrows = {el.key: ROOT_ARROW for el in blk.arrows()}
+        taus[(j, 0)] = GraphMorphism(graphs[j], root_graph, nodes, arrows)
+        for i, sigma in enumerate(rule.sigma(blk)[: j - 1], start=1):
+            taus[(j, i)] = sigma
+    return GraphChain(graphs, taus)
 
 
 def binding_report(system: System, rule: McmtRule, model_name: str) -> str:

@@ -9,8 +9,10 @@ stored; they are derived from parent references.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from functools import cached_property
+from typing import Optional
 
 from .graph import (
     Arrow,
@@ -131,13 +133,15 @@ class ElementTyping:
     supplementary: dict = field(default_factory=dict)  # hierarchy name -> TypeRef
     data: Optional[TypeRef] = None
 
-    def all_refs(self) -> Iterator[tuple[str, TypeRef]]:
-        if self.own:
-            yield ("own", self.own)
-        for h in sorted(self.supplementary):
-            yield (h, self.supplementary[h])
+    @cached_property
+    def all_refs(self) -> tuple[tuple[str, TypeRef], ...]:
+        """(dimension, type) pairs: the own type, the supplementary types by
+        hierarchy name, then the data type."""
+        refs = [("own", self.own)] if self.own else []
+        refs += [(h, self.supplementary[h]) for h in sorted(self.supplementary)]
         if self.data:
-            yield ("data", self.data)
+            refs.append(("data", self.data))
+        return tuple(refs)
 
 
 ROOT_NODE_TYPING = ElementTyping(TypeRef(ROOT_MODEL, ROOT_NODE))
@@ -147,7 +151,8 @@ ROOT_ARROW_TYPING = ElementTyping(TypeRef(ROOT_MODEL, ROOT_ARROW))
 @dataclass(frozen=True, eq=False)
 class Model:
     """A named graph with its element records.  A value built whole: its
-    dicts are never changed after construction.  An element without an own
+    dicts are never changed after construction, so the facts that read only
+    the model are views derived once per value.  An element without an own
     type is typed by the root element of its kind."""
 
     name: str
@@ -170,11 +175,59 @@ class Model:
         if rest:
             object.__setattr__(self, "typings", {**self.typings, **rest})
 
-    def plain_arrows(self) -> list[Arrow]:
-        return sorted(a for a in self.graph.arrows if a not in self.inherit_arrows)
+    @cached_property
+    def plain_arrows(self) -> tuple[Arrow, ...]:
+        """The arrows that are not specialisation arrows, sorted."""
+        return tuple(sorted(a for a in self.graph.arrows if a not in self.inherit_arrows))
 
-    def inheritance_parents(self, node: str) -> list[str]:
-        return sorted(a.tgt for a in self.inherit_arrows if a.src == node)
+    @cached_property
+    def _parents(self) -> dict:
+        parents: dict = {}
+        for a in self.inherit_arrows:
+            parents.setdefault(a.src, []).append(a.tgt)
+        return {node: tuple(sorted(ps)) for node, ps in parents.items()}
+
+    def inheritance_parents(self, node: str) -> tuple[str, ...]:
+        return self._parents.get(node, ())
+
+    @cached_property
+    def _ancestors(self) -> dict:
+        out = {}
+        for node in self._parents:
+            seen, frontier = set(), [node]
+            while frontier:
+                for p in self.inheritance_parents(frontier.pop()):
+                    if p not in seen:
+                        seen.add(p)
+                        frontier.append(p)
+            out[node] = frozenset(seen)
+        return out
+
+    def ancestors(self, elem) -> frozenset:
+        """The strict inheritance ancestors of an element, which include it
+        only when it sits on an inheritance cycle; none for an arrow."""
+        return self._ancestors.get(elem, frozenset())
+
+    @cached_property
+    def arrow_counts(self) -> dict:
+        """(own type, source) -> the number of plain arrows with that own
+        type and source: the direct-instance counts that upper multiplicity
+        bounds limit."""
+        counts: dict[tuple, int] = {}
+        for a in self.plain_arrows:
+            key = (self.typings[a].own, a.src)
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    @cached_property
+    def match_graph(self) -> Graph:
+        """The plain-arrow graph that level matching searches."""
+        return Graph(self.graph.nodes, frozenset(self.plain_arrows))
+
+    @cached_property
+    def pools(self) -> dict:
+        """The sorted candidate pools of level matching per element kind."""
+        return {"node": sorted(self.graph.nodes), "arrow": self.plain_arrows}
 
     def multiplicity(self, arrow: Arrow) -> Multiplicity:
         return self.multiplicities.get(arrow, DEFAULT_MULTIPLICITY)
@@ -341,11 +394,13 @@ class System:
                         f"model {name} is held by hierarchies {owners[name].name} and {h.name}"
                     )
 
-    def hierarchies(self) -> Iterator[Hierarchy]:
-        yield self.application
-        for name in sorted(self.supplementary):
-            yield self.supplementary[name]
-        yield self.data
+    def user_hierarchies(self) -> list[Hierarchy]:
+        """The application hierarchy, then the supplementary ones by name."""
+        return [self.application] + [self.supplementary[k] for k in sorted(self.supplementary)]
+
+    def hierarchies(self) -> list[Hierarchy]:
+        """Every hierarchy: the user hierarchies, then the data-type one."""
+        return self.user_hierarchies() + [self.data]
 
     def hierarchy_of(self, model_name: str) -> Hierarchy:
         """The one hierarchy holding the model; for the root, which every
@@ -399,7 +454,7 @@ def reach(system: System, model_name: str) -> frozenset:
         except KeyError:
             continue
         for t in model.typings.values():
-            for _, ref in t.all_refs():
+            for _, ref in t.all_refs:
                 if ref.model not in seen:
                     seen.add(ref.model)
                     todo.append(ref.model)
@@ -458,7 +513,7 @@ def type_closure(system: System, model_name: str, elem) -> list[TypeEntry]:
         typing = model.typings.get(entry.elem)
         if not typing:
             continue
-        for _, ref in typing.all_refs():
+        for _, ref in typing.all_refs:
             if entry.model == ROOT_MODEL:
                 continue  # the root is self-defining; stop there
             if (ref.model, ref.elem) in path:
@@ -487,22 +542,14 @@ def type_refs(
     cut = [] if _cut is None else _cut  # the types this walk and the walks under it skipped
     cuts_before = len(cut)
     model = system.find_model(model_name)
-    same = {elem}
-    frontier = [elem]
-    while frontier:
-        cur = frontier.pop()
-        if isinstance(cur, str):
-            for parent in model.inheritance_parents(cur):
-                if parent not in same:
-                    same.add(parent)
-                    frontier.append(parent)
+    same = {elem, *model.ancestors(elem)}
     refs = {(model_name, x) for x in same if x != elem}
     if model_name != ROOT_MODEL:  # the root is self-defining
         path = _path + ((model_name, elem),)
         for x in same:
             typing = model.typings.get(x)
             if typing:
-                for _, ref in typing.all_refs():
+                for _, ref in typing.all_refs:
                     refs.add((ref.model, ref.elem))
                     if (ref.model, ref.elem) in path:
                         cut.append((ref.model, ref.elem))
@@ -539,7 +586,7 @@ def effective_potency(system: System, model_name: str, elem, _path=frozenset()) 
         typing = model.typings.get(elem)
         if typing:
             path = _path | {(model_name, elem)}
-            for _, ref in typing.all_refs():
+            for _, ref in typing.all_refs:
                 if (ref.model, ref.elem) in path:
                     continue
                 tp = effective_potency(system, ref.model, ref.elem, path)
@@ -583,7 +630,7 @@ def transitive_types(system: System, model_name: str, elem) -> dict[str, object]
         t = model.typings.get(e)
         if not t:
             return
-        for _, ref in t.all_refs():
+        for _, ref in t.all_refs:
             if ref.model not in out:
                 out[ref.model] = ref.elem
                 walk(ref.model, ref.elem)
@@ -679,7 +726,7 @@ def _typing_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
     out = []
     chain_above = {x.name for x in h.typing_chain(m.name)[1:]}
     for e in m.graph.elements():
-        for dim, ref in m.typings[e].all_refs():
+        for dim, ref in m.typings[e].all_refs:
             try:
                 tgt_model = system.find_model(ref.model)
             except KeyError:
@@ -716,8 +763,8 @@ def check_non_dangling(system: System) -> list[Violation]:
 
 def _non_dangling_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
     out = []
-    for a in m.plain_arrows():
-        for _, ref in m.typings[a].all_refs():
+    for a in m.plain_arrows:
+        for _, ref in m.typings[a].all_refs:
             if not isinstance(ref.elem, Arrow):
                 continue
             d = jump_distance(system, m.name, ref)
@@ -795,7 +842,7 @@ def check_potency(system: System) -> list[Violation]:
 def _potency_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
     out = []
     for e in m.graph.elements():
-        for _, ref in m.typings[e].all_refs():
+        for _, ref in m.typings[e].all_refs:
             faults = instance_faults(system, m.name, ref)
             tpot = effective_potency(system, ref.model, ref.elem)
             if tpot.depth is not None:
@@ -840,21 +887,9 @@ def _inheritance_part(system: System, h: Hierarchy, m: Model) -> list[Violation]
     for a in sorted(m.inherit_arrows):
         if a.src == a.tgt:
             out.append(Violation("inheritance", m.name, elem_str(a), "self-inheritance"))
-    # acyclicity by walking parents
     for start in sorted({a.src for a in m.inherit_arrows}):
-        seen, frontier = {start}, [start]
-        while frontier:
-            cur = frontier.pop()
-            for p in m.inheritance_parents(cur):
-                if p == start:
-                    out.append(
-                        Violation("inheritance", m.name, start, "inheritance cycle")
-                    )
-                    frontier = []
-                    break
-                if p not in seen:
-                    seen.add(p)
-                    frontier.append(p)
+        if start in m.ancestors(start):
+            out.append(Violation("inheritance", m.name, start, "inheritance cycle"))
     chain = [x.name for x in h.typing_chain(m.name)]
     for a in sorted(m.inherit_arrows):
         x, y = a.src, a.tgt
@@ -873,8 +908,8 @@ def _inheritance_part(system: System, h: Hierarchy, m: Model) -> list[Violation]
                         f"typing into {above} differs from parent {y}",
                     )
                 )
-        child_arrow_names = {b.name for b in m.plain_arrows() if b.src == x}
-        parent_arrow_names = {b.name for b in m.plain_arrows() if b.src == y}
+        child_arrow_names = {b.name for b in m.plain_arrows if b.src == x}
+        parent_arrow_names = {b.name for b in m.plain_arrows if b.src == y}
         for clash in sorted(child_arrow_names & parent_arrow_names):
             out.append(
                 Violation(
@@ -898,25 +933,9 @@ def check_multiplicity(system: System, strict: bool = False) -> list[Violation]:
     return _per_model(system, "multiplicity", _multiplicity_part, strict)
 
 
-def arrow_counts(system: System, model_name: str) -> dict:
-    """(own type, source) -> the number of the model's plain arrows with that
-    own type and source: the direct-instance counts that upper multiplicity
-    bounds limit."""
-    ck = ("arrow-counts", model_name)
-    hit = system.cache.get(ck)
-    if hit is not None:
-        return hit[0]
-    m = system.find_model(model_name)
-    counts: dict[tuple, int] = {}
-    for a in m.plain_arrows():
-        key = (m.typings[a].own, a.src)
-        counts[key] = counts.get(key, 0) + 1
-    return system.remember(ck, counts, (model_name,))
-
-
 def _multiplicity_part(system: System, h: Hierarchy, m: Model, strict: bool) -> list[Violation]:
     out = []
-    counts = arrow_counts(system, m.name)
+    counts = m.arrow_counts
     for (ref, src), n in sorted(counts.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
         tgt_model = system.find_model(ref.model)
         if not isinstance(ref.elem, Arrow):
@@ -933,7 +952,7 @@ def _multiplicity_part(system: System, h: Hierarchy, m: Model, strict: bool) -> 
             )
     if strict:
         for above in h.typing_chain(m.name)[1:]:
-            for f in above.plain_arrows():
+            for f in above.plain_arrows:
                 mult = above.multiplicity(f)
                 if mult.min == 0:
                     continue
@@ -1115,7 +1134,11 @@ def collapse_attributes(system: System, model_name: str, expanded: Model) -> Mod
         if "=" in name:
             owner_attr, _, raw = name.partition("=")
             owner, _, attr = owner_attr.rpartition(".")
-            value_triples.append((owner, attr, eval(raw)))  # literals written with repr
+            try:
+                value = ast.literal_eval(raw)  # written with repr
+            except SyntaxError:
+                raise ValueError(f"attribute value of {name} is not a literal") from None
+            value_triples.append((owner, attr, value))
             drop.add(e)
         else:
             owner, _, attr = name.rpartition(".")

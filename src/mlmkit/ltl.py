@@ -249,7 +249,7 @@ def _structure(system: System, model: Model):
     kinds = {n: _ltl_kind(system, model, n) for n in model.graph.nodes}
     out: dict[str, dict[str, str]] = {n: {} for n in model.graph.nodes}
     root = None
-    for a in model.plain_arrows():
+    for a in model.plain_arrows:
         kind = _ltl_kind(system, model, a)
         if not isinstance(kind, Arrow):
             continue
@@ -522,7 +522,7 @@ def _fragment_elements(system: System, model: Model, atomic: str):
     changed = True
     while changed:
         changed = False
-        for a in model.plain_arrows():
+        for a in model.plain_arrows:
             if not app_typed(a):
                 continue
             if (a.src in elems or a.tgt in elems) and a not in elems:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .graph import Arrow, Graph, enumerate_homomorphisms
+from .graph import Arrow, enumerate_homomorphisms
 from .hierarchy import (
     ROOT_ARROW,
     ROOT_MODEL,
@@ -115,34 +115,19 @@ def build_stack(system: System, model_name: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-class _Target:
-    """A target model prepared for level matching: its plain-arrow graph, the
-    sorted candidate pools per element kind and, built on first use, each
-    pool indexed by every type its elements have, in pool order."""
-
-    def __init__(self, model: Model):
-        self.model = model
-        self.graph = Graph(model.graph.nodes, frozenset(model.plain_arrows()))
-        self.pools = {"node": sorted(self.graph.nodes), "arrow": sorted(self.graph.arrows)}
-        self._by_type: dict = {}
-
-    def by_type(self, system: System, kind: str) -> dict:
-        index = self._by_type.get(kind)
-        if index is None:
-            index = self._by_type[kind] = {}
-            for x in self.pools[kind]:
-                for ref in type_refs(system, self.model.name, x):
-                    index.setdefault(ref, []).append(x)
-        return index
-
-
-def _target(system: System, model_name: str) -> _Target:
-    """The prepared target, memoized like the typing data it is derived from."""
-    ck = ("match-target", model_name)
+def by_type(system: System, model_name: str, kind: str) -> dict:
+    """The model's candidate pool of one element kind indexed by every type
+    its elements have, in pool order: memoized like the typing data it is
+    derived from."""
+    ck = ("match-target", model_name, kind)
     hit = system.cache.get(ck)
     if hit is not None:
         return hit[0]
-    return system.remember(ck, _Target(system.find_model(model_name)), (model_name,))
+    index: dict = {}
+    for x in system.find_model(model_name).pools[kind]:
+        for ref in type_refs(system, model_name, x):
+            index.setdefault(ref, []).append(x)
+    return system.remember(ck, index, (model_name,))
 
 
 def _resolve_type(rule: McmtRule, el: PatternElement, partial_f: dict, partial_maps: dict):
@@ -222,17 +207,16 @@ def typed_matches(
     element's image must have as a transitive type, inheritance included:
     None for any, False for no candidate.  Structural mode keeps only the
     shape, constant and injectivity requirements (used for diagnostics)."""
-    target = _target(system, model_name)
-    model = target.model
+    model = system.find_model(model_name)
 
     def candidates(el: PatternElement):
-        pool = target.pools[el.kind]
+        pool = model.pools[el.kind]
         if not structural:
             ref = type_of(el)
             if ref is False:
                 return []
             if ref is not None:
-                pool = target.by_type(system, el.kind).get(ref, ())
+                pool = by_type(system, model_name, el.kind).get(ref, ())
         if el.plain:
             return pool
         out = []
@@ -271,7 +255,7 @@ def typed_matches(
 
     hits = enumerate_homomorphisms(
         block.graph(),
-        target.graph,
+        model.match_graph,
         injective=True,
         node_candidates=node_candidates,
         arrow_candidates=arrow_candidates,
@@ -406,6 +390,7 @@ def _type_compatible(
         beta = binding.level_map(i)
         tg_model = binding.model_at(i)
         sigma_s = domain_between(system, model_name, tg_model)
+        ancestors = system.find_model(tg_model).ancestors
         sl = sigma_l[i - 1]
         for key in list(sl.nodes) + list(sl.arrows):
             target = mu[key]
@@ -413,25 +398,6 @@ def _type_compatible(
             actual = sigma_s.get(target)
             if expected is None or actual is None:
                 return False
-            if actual != expected and not _specialises(
-                system, tg_model, actual, expected
-            ):
+            if actual != expected and expected not in ancestors(actual):
                 return False
     return True
-
-
-def _specialises(system: System, model_name: str, elem, ancestor) -> bool:
-    """elem is connected to ancestor by specialisation arrows in the model."""
-    if isinstance(elem, Arrow) or isinstance(ancestor, Arrow):
-        return False
-    model = system.find_model(model_name)
-    seen, frontier = {elem}, [elem]
-    while frontier:
-        cur = frontier.pop()
-        for p in model.inheritance_parents(cur):
-            if p == ancestor:
-                return True
-            if p not in seen:
-                seen.add(p)
-                frontier.append(p)
-    return False

@@ -316,8 +316,7 @@ def save_hierarchy(system: System) -> str:
     model's block of text is a fact about that model, so a rewritten
     system serializes again only the models the rewrite replaced."""
     out: list[str] = []
-    hs = [system.application] + [system.supplementary[k] for k in sorted(system.supplementary)]
-    for h in hs:
+    for h in system.user_hierarchies():
         dim = "application" if h.dimension == APPLICATION else "supplementary"
         out.append(f"hierarchy {dim} {h.name} {{")
         for mname in h.model_names():
@@ -401,9 +400,7 @@ def export_dot(system: System, model_name: str | None = None) -> str:
     if model_name:
         lines += export_dot_model(system, system.find_model(model_name))
     else:
-        for h in [system.application] + [
-            system.supplementary[k] for k in sorted(system.supplementary)
-        ]:
+        for h in system.user_hierarchies():
             for mname in h.model_names():
                 if mname == ROOT_MODEL:
                     continue

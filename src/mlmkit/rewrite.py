@@ -47,12 +47,11 @@ from .hierarchy import (
     Model,
     System,
     TypeRef,
-    arrow_counts,
     elem_str,
     instance_faults,
     validate_hierarchy,
 )
-from .matching import Binding, LhsMatch, _target, bind_lhs, match_for_model, typed_matches
+from .matching import Binding, LhsMatch, bind_lhs, by_type, match_for_model, typed_matches
 from .rules import McmtRule, PatternBlock, PatternElement, RuleError, TypeExpr, render_rule
 
 
@@ -217,7 +216,7 @@ def _refused(system: System, rule, model_name: str, mu: dict, type_of) -> bool:
         if el.key in rule.lhs.elements:
             continue
         typing = _type_created(system, type_of(el))
-        if any(instance_faults(system, model_name, ref) for _, ref in typing.all_refs()):
+        if any(instance_faults(system, model_name, ref) for _, ref in typing.all_refs):
             return True
         if el.kind == "arrow" and typing.own is not None:
             key = (typing.own, mu[el.src] if el.src in mu else (el.src,))
@@ -228,7 +227,7 @@ def _refused(system: System, rule, model_name: str, mu: dict, type_of) -> bool:
     gone = {mu[el.key] for el in rule.lhs.arrows() if el.key not in rule.rhs.elements}
     dropped = {mu[el.name] for el in rule.lhs.nodes() if el.key not in rule.rhs.elements}
     gone |= {a for a in model.graph.arrows if a.tgt in dropped}  # a created arrow's source stays
-    counts = arrow_counts(system, model_name)
+    counts = model.arrow_counts
     for (ref, src), n in added.items():
         if not isinstance(ref.elem, Arrow):
             continue
@@ -608,7 +607,7 @@ def _observed_count(system, rule, binding, model_name, el) -> int:
     ref = None if tgt_el is None else _bound_type(rule, binding, tgt_el)
     if ref is None:
         return 1
-    index = _target(system, model_name).by_type(system, "node")
+    index = by_type(system, model_name, "node")
     return len(index.get((ref.model, ref.elem), ()))
 
 

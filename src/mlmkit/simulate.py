@@ -345,20 +345,3 @@ def run(
         if not applied:
             break
     return system, trace
-
-
-def interactive_step(
-    system: System,
-    model: str,
-    rules: dict,
-    config: LayerConfig,
-    infile,
-    outfile,
-    seed: int = 0,
-    trace: Optional[Trace] = None,
-) -> tuple[System, Trace]:
-    """Like step, with choose-one layers backed by a prompt."""
-    trace = trace or Trace(seed)
-    chooser = InteractiveChoice(infile, outfile, SeededChoice(seed))
-    system, _ = step(system, model, rules, config, chooser, trace, len(trace.entries) + 1)
-    return system, trace

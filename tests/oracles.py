@@ -316,7 +316,7 @@ def brute_force_bindings(system, rule, stack):
         for i in range(1, n + 1):
             blk = rule.meta_level(i)
             model = system.find_model(stack[f[i]])
-            target = Graph(model.graph.nodes, frozenset(model.plain_arrows()))
+            target = Graph(model.graph.nodes, frozenset(model.plain_arrows))
             hits = enumerate_homomorphisms(blk.graph(), target, injective=True)
             level_options = []
             for m in hits:
@@ -380,7 +380,7 @@ def brute_force_lhs(system, rule, binding, model_name):
     from mlmkit.matching import LhsMatch, _type_compatible
 
     model = system.find_model(model_name)
-    target = Graph(model.graph.nodes, frozenset(model.plain_arrows()))
+    target = Graph(model.graph.nodes, frozenset(model.plain_arrows))
 
     def admissible(el, x):
         if el.constant and (x.name if isinstance(x, Arrow) else x) != el.name:
@@ -517,13 +517,12 @@ def _rename_level(rule, sub, fresh_nodes: dict, fresh_arrows: dict) -> Graph:
 
 def stale_facts(system, rules=()) -> list:
     """The cache keys of a system whose memoized facts differ from the same
-    facts derived on a cache-free copy of it.  Prepared match targets compare
-    by graph, pools and by-type index; meta bindings are derived again with
-    the rule among `rules` whose meta chain they were matched for.  A model's
-    part of a condition check is the violations of the whole check that name
-    that model."""
+    facts derived on a cache-free copy of it.  Meta bindings are derived
+    again with the rule among `rules` whose meta chain they were matched
+    for.  A model's part of a condition check is the violations of the whole
+    check that name that model."""
     from mlmkit import hierarchy as hy
-    from mlmkit.matching import _target, meta_bindings
+    from mlmkit.matching import by_type, meta_bindings
     from mlmkit.mlhio import _model_text
 
     fresh = hy.System(system.application, system.supplementary, system.data)
@@ -544,8 +543,8 @@ def stale_facts(system, rules=()) -> list:
         "dom": hy.domain_between,
         "effective-potency": hy.effective_potency,
         "reach": hy.reach,
-        "arrow-counts": hy.arrow_counts,
         "validate": hy.validate_hierarchy,
+        "match-target": by_type,
         "meta": lambda s, model, meta_key: meta_bindings(s, by_meta[meta_key], model),
         "saved": lambda s, model: _model_text(s, s.hierarchy_of(model), model),
     }
@@ -556,13 +555,6 @@ def stale_facts(system, rules=()) -> list:
     out = []
     for key, (value, _) in list(system.cache.items()):
         kind, *args = key
-        if kind == "match-target":
-            want = _target(fresh, *args)
-            same = (value.graph, value.pools) == (want.graph, want.pools) and all(
-                value.by_type(system, k) == want.by_type(fresh, k) for k in ("node", "arrow")
-            )
-        else:
-            same = value == derive[kind](fresh, *args)
-        if not same:
+        if value != derive[kind](fresh, *args):
             out.append(key)
     return out

@@ -6,6 +6,7 @@ import pytest
 from mlmkit.cli import main
 from mlmkit.hierarchy import ROOT_MODEL, validate_hierarchy
 from mlmkit.mlhio import LoadError, export_dot, load_hierarchy, save_hierarchy
+from mlmkit.simulate import ScriptedChoice, parse_layers, run
 
 from conftest import CYCLE_WITH_ARROWS, FIXTURES, load_fixture
 
@@ -311,6 +312,41 @@ def test_cli_proliferate_to_directory(tmp_path, capsys):
         "FireTransition_1.mcmt",
         "FireTransition_2.mcmt",
     ]
+
+
+INSERT_INPUT_MENU = (
+    "1) InsertInput 6e17e3cbfbcf\n"
+    "2) InsertInput 8a40e97ee145\n"
+    "3) InsertInput 4497c626ea11\n"
+    "4) InsertInput 9b3f3105af77\n"
+    "5) InsertInput 82c536729526\n"
+    "6) InsertInput 6c4a9bfdc1a7\n"
+    "select (0 = random): "
+)
+
+
+@pytest.mark.parametrize("answers, passes", [("1\n", 2), ("", 1)])
+def test_cli_simulate_interactive_reads_piped_stdin(tmp_path, robolang_rules, answers, passes):
+    """Each pass prompts on stdout; an answer applies its candidate, and end
+    of input aborts the pass, which ends the run with the model as it is."""
+    layers = tmp_path / "insert.layers"
+    layers.write_text("layer choose-one { InsertInput }\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlmkit.cli", "simulate", str(FIXTURES / "robolang.mlh"),
+         str(FIXTURES / "robolang.mcmt"), "--layers", str(layers), "--model", "robot_1_run_1",
+         "--steps", "2", "--interactive"],
+        input=answers,
+        capture_output=True,
+        text=True,
+    )
+    system = load_fixture("robolang.mlh")
+    if answers:
+        config = parse_layers(layers.read_text(encoding="utf-8"))
+        system, _ = run(
+            system, "robot_1_run_1", robolang_rules, config, steps=1, chooser=ScriptedChoice([0])
+        )
+    assert proc.returncode == 0
+    assert proc.stdout == INSERT_INPUT_MENU * passes + "\naborted\n" + save_hierarchy(system)
 
 
 def test_console_entry_point_runs():

@@ -11,12 +11,12 @@ from mlmkit.rewrite import apply_rule
 from mlmkit.rules import RuleError
 from mlmkit.simulate import (
     BudgetExceeded,
+    InteractiveChoice,
     ScriptedChoice,
     SeededChoice,
     Trace,
     Layer,
     LayerConfig,
-    interactive_step,
     parse_layers,
     render_layers,
     run,
@@ -181,8 +181,9 @@ def test_scripted_choice_forces_obstacle_then_firing(robolang_system, robolang_r
 def test_interactive_single_candidate_autoconfirms(robolang_system, robolang_rules):
     config = parse_layers("layer choose-one { Start }")
     out = io.StringIO()
-    system, trace = interactive_step(
-        robolang_system, "robot_1_run_1", robolang_rules, config, io.StringIO(""), out
+    chooser = InteractiveChoice(io.StringIO(""), out)
+    system, trace = run(
+        robolang_system, "robot_1_run_1", robolang_rules, config, steps=1, chooser=chooser
     )
     assert any(e.rule == "Start" for e in trace.entries)
     assert "only candidate" in out.getvalue()
@@ -191,14 +192,16 @@ def test_interactive_single_candidate_autoconfirms(robolang_system, robolang_rul
 def test_interactive_scripted_selection_and_eof(robolang_system, robolang_rules):
     config = parse_layers("layer choose-one { InsertInput }")
     out = io.StringIO()
-    system, trace = interactive_step(
-        robolang_system, "robot_1_run_1", robolang_rules, config, io.StringIO("2\n"), out
+    chooser = InteractiveChoice(io.StringIO("2\n"), out)
+    system, trace = run(
+        robolang_system, "robot_1_run_1", robolang_rules, config, steps=1, chooser=chooser
     )
     assert len([e for e in trace.entries if not e.rule.endswith("!rejected")]) == 1
     # end of input aborts the pass without changes
     out2 = io.StringIO()
-    system2, trace2 = interactive_step(
-        robolang_system, "robot_1_run_1", robolang_rules, config, io.StringIO(""), out2
+    chooser2 = InteractiveChoice(io.StringIO(""), out2)
+    system2, trace2 = run(
+        robolang_system, "robot_1_run_1", robolang_rules, config, steps=1, chooser=chooser2
     )
     assert save_hierarchy(system2) == save_hierarchy(robolang_system)
     assert "aborted" in out2.getvalue()
@@ -207,8 +210,9 @@ def test_interactive_scripted_selection_and_eof(robolang_system, robolang_rules)
 def test_interactive_invalid_input_reprompts(robolang_system, robolang_rules):
     config = parse_layers("layer choose-one { InsertInput }")
     out = io.StringIO()
-    system, trace = interactive_step(
-        robolang_system, "robot_1_run_1", robolang_rules, config, io.StringIO("nope\n99\n1\n"), out
+    chooser = InteractiveChoice(io.StringIO("nope\n99\n1\n"), out)
+    system, trace = run(
+        robolang_system, "robot_1_run_1", robolang_rules, config, steps=1, chooser=chooser
     )
     assert "enter a number" in out.getvalue()
     assert "out of range" in out.getvalue()
