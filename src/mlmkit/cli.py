@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .diagnose import binding_report, refactoring_report
+from .diagnose import binding_check, refactoring_check
 from .graph import SizeCapExceeded
 from .hierarchy import ROOT_MODEL, ValidationReport, check_typing_structure, validate_hierarchy
 from .matching import bind_lhs, match_for_model
@@ -52,7 +52,7 @@ def _load_typed(path: str, model: str | None = None):
     system = _load_system(path, model)
     found = check_typing_structure(system)
     if found:
-        raise _IllTyped(ValidationReport(sorted(set(found))).render())
+        raise _IllTyped(ValidationReport(found).render())
     return system
 
 
@@ -148,7 +148,7 @@ def cmd_simulate(args) -> int:
     config = parse_layers(_read(args.layers))
     chooser = None
     if args.interactive:
-        chooser = InteractiveChoice(sys.stdin, sys.stdout, SeededChoice(args.seed))
+        chooser = InteractiveChoice(sys.stdin, sys.stderr, SeededChoice(args.seed))
     system, trace = run(
         system, args.model, rules, config, steps=args.steps, seed=args.seed, chooser=chooser
     )
@@ -168,21 +168,20 @@ def cmd_check_chain(args) -> int:
         if not args.rules or not args.model:
             sys.stderr.write("check-chain --rule needs <rules> and --model\n")
             return 2
-    out = []
+    out = []  # (report, whether every level pair passed)
     if args.model and not args.rule:
-        out.append(refactoring_report(system, args.model))
+        out.append(refactoring_check(system, args.model))
     elif not args.rule:
         for h in system.user_hierarchies():
             for name in h.model_names():
                 if name != ROOT_MODEL:
-                    out.append(refactoring_report(system, name))
+                    out.append(refactoring_check(system, name))
     if args.rule:
         rule = _pick_rule(_load_rules(args.rules), args.rule, args.param)
-        out.append(refactoring_report(system, args.model))
-        out.append(binding_report(system, rule, args.model))
-    text = "\n".join(out)
-    sys.stdout.write(text)
-    return 0 if "FAIL" not in text else 1
+        out.append(refactoring_check(system, args.model))
+        out.append(binding_check(system, rule, args.model))
+    sys.stdout.write("\n".join(text for text, _ in out))
+    return 0 if all(ok for _, ok in out) else 1
 
 
 def cmd_export_dot(args) -> int:

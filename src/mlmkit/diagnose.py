@@ -48,6 +48,12 @@ def refactoring_morphism(system: System, stack: list[str], model_name: str) -> C
 
 
 def refactoring_report(system: System, model_name: str) -> str:
+    return refactoring_check(system, model_name)[0]
+
+
+def refactoring_check(system: System, model_name: str) -> tuple[str, bool]:
+    """The refactoring report of the model, and whether every level pair
+    passed."""
     h = system.hierarchy_of(model_name)
     chain = [m.name for m in h.typing_chain(model_name)]
     stack = list(reversed(chain))  # root first, the model itself last
@@ -55,12 +61,11 @@ def refactoring_report(system: System, model_name: str) -> str:
     diags = check_chain_morphism(cm, check_pullback=True)
     lines = [f"refactoring {model_name} over [{', '.join(stack[:-1])}]"]
     for d in sorted(diags, key=lambda d: (d.j, d.i)):
-        ok = d.ok and d.pullback
-        verdict = "ok" if ok else "FAIL"
+        verdict = "ok" if d.ok and d.pullback else "FAIL"
         detail = d.status + ("" if d.pullback else ", not a pullback")
         off = f" offenders={','.join(d.offenders)}" if d.offenders else ""
         lines.append(f"  pair ({d.i},{d.j}): {verdict} ({detail}){off}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", all(d.ok and d.pullback for d in diags)
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +93,18 @@ def binding_report(system: System, rule: McmtRule, model_name: str) -> str:
     """Structure-only candidate bindings of the rule around the model, with
     every level pair classified; a pair fails when the typing paths disagree
     or the pattern's domain is not reflected in the target."""
+    return binding_check(system, rule, model_name)[0]
+
+
+def binding_check(system: System, rule: McmtRule, model_name: str) -> tuple[str, bool]:
+    """The binding report, and whether every level pair of every candidate
+    passed."""
     stack = build_stack(system, model_name)
     found, bindings = match(system, rule, stack, structural=True)
     lines = [f"binding {rule.name} into {model_name}"]
     cod = stack_chain(system, stack + [model_name])
     dom = _rule_chain(rule, system.find_model(ROOT_MODEL).graph)
-    k = 0
+    k, ok = 0, True
     for b in bindings:
         for m in bind_lhs(system, rule, b, model_name, structural=True):
             k += 1
@@ -122,10 +133,11 @@ def binding_report(system: System, rule: McmtRule, model_name: str) -> str:
             )
             cm = ChainMorphism(dom, cod, f, tuple(phis))
             diags = check_chain_morphism(cm, check_pullback=False)
+            ok = ok and all(d.ok for d in diags)
             for d in sorted(diags, key=lambda d: (d.j, d.i)):
                 verdict = d.status if d.ok else "FAIL"
                 off = f" offenders={','.join(d.offenders)}" if d.offenders else ""
                 lines.append(f"  pair ({d.i},{d.j}): {verdict}{off}")
     if not k:
         lines.append("  no structural candidates")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", ok

@@ -11,21 +11,15 @@ of immutable values.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
-DEFAULT_SIZE_CAP = 64
+SIZE_CAP = 64  # the most elements an exhaustive enumeration walks
 
 
 class SizeCapExceeded(Exception):
-    """Raised when an exhaustive enumeration would exceed the configured cap."""
-
-
-def size_cap() -> int:
-    cap = os.environ.get("MLMKIT_SIZE_CAP")
-    return int(cap) if cap else DEFAULT_SIZE_CAP
+    """Raised when an exhaustive enumeration would exceed SIZE_CAP."""
 
 
 @dataclass(frozen=True, order=True)
@@ -479,16 +473,14 @@ def enumerate_homomorphisms(
     injective: bool = False,
     node_candidates: Optional[Mapping[str, Iterable[str]]] = None,
     arrow_candidates: Optional[Mapping[Arrow, Iterable[Arrow]]] = None,
-    cap: Optional[int] = None,
 ) -> list[GraphMorphism]:
     """All total homomorphisms g -> h, duplicate-free, in canonical order.
 
     Optional candidate maps restrict the images of individual elements.
     Exhaustive; guarded by a size cap on the pattern.
     """
-    cap = size_cap() if cap is None else cap
-    if g.size > cap:
-        raise SizeCapExceeded(f"pattern has {g.size} elements, cap is {cap}")
+    if g.size > SIZE_CAP:
+        raise SizeCapExceeded(f"pattern has {g.size} elements, cap is {SIZE_CAP}")
 
     arrows, nodes, checks_at = g.search_plan
     ncands = {
@@ -554,11 +546,10 @@ def enumerate_homomorphisms(
     return results
 
 
-def enumerate_subgraphs(g: Graph, cap: Optional[int] = None) -> Iterator[SubgraphRef]:
+def enumerate_subgraphs(g: Graph) -> Iterator[SubgraphRef]:
     """All valid subgraphs of g (closure-respecting), largest-last not guaranteed."""
-    cap = size_cap() if cap is None else cap
-    if g.size > cap:
-        raise SizeCapExceeded(f"graph has {g.size} elements, cap is {cap}")
+    if g.size > SIZE_CAP:
+        raise SizeCapExceeded(f"graph has {g.size} elements, cap is {SIZE_CAP}")
     nodes = sorted(g.nodes)
     for r in range(len(nodes) + 1):
         for ns in itertools.combinations(nodes, r):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graph import (
     Arrow,
@@ -294,9 +294,6 @@ class Hierarchy:
             cur = self.parents[cur]
         return chain
 
-    def children(self, name: str) -> list[str]:
-        return sorted(m for m, p in self.parents.items() if p == name)
-
     def model_names(self) -> list[str]:
         """Model names in deterministic top-down order."""
         return sorted(self.models, key=lambda n: (self.level(n), n))
@@ -518,7 +515,10 @@ def type_closure(system: System, model_name: str, elem) -> list[TypeEntry]:
                 continue  # the root is self-defining; stop there
             if (ref.model, ref.elem) in path:
                 continue
-            d = jump_distance(system, entry.model, ref)
+            try:
+                d = jump_distance(system, entry.model, ref)
+            except KeyError:
+                continue  # an unknown model, which check_typing_structure reports
             stack.append(
                 (TypeEntry(ref.model, ref.elem, entry.distance + d, entry.steps + 1), path)
             )
@@ -541,7 +541,10 @@ def type_refs(
         return hit[0]
     cut = [] if _cut is None else _cut  # the types this walk and the walks under it skipped
     cuts_before = len(cut)
-    model = system.find_model(model_name)
+    try:
+        model = system.find_model(model_name)
+    except KeyError:
+        return frozenset()  # an unknown model, which check_typing_structure reports
     same = {elem, *model.ancestors(elem)}
     refs = {(model_name, x) for x in same if x != elem}
     if model_name != ROOT_MODEL:  # the root is self-defining
@@ -589,7 +592,10 @@ def effective_potency(system: System, model_name: str, elem, _path=frozenset()) 
             for _, ref in typing.all_refs:
                 if (ref.model, ref.elem) in path:
                     continue
-                tp = effective_potency(system, ref.model, ref.elem, path)
+                try:
+                    tp = effective_potency(system, ref.model, ref.elem, path)
+                except KeyError:
+                    continue  # an unknown model, which check_typing_structure reports
                 if tp.depth is not None:
                     depths.append(tp.depth)
         # the most restrictive of all the types' depths, one less for the instance
@@ -626,7 +632,10 @@ def transitive_types(system: System, model_name: str, elem) -> dict[str, object]
     def walk(m: str, e):
         if m == ROOT_MODEL:
             return
-        model = system.find_model(m)
+        try:
+            model = system.find_model(m)
+        except KeyError:
+            return  # an unknown model, which check_typing_structure reports
         t = model.typings.get(e)
         if not t:
             return
@@ -694,16 +703,21 @@ class Violation:
         return f"[{self.condition}] {self.model}/{self.element}: {self.message}"
 
 
+Findings = Iterator[tuple[str, str]]  # (element text, fault) pairs about one model
+
+
 def _user_models(h: Hierarchy) -> list[Model]:
     return [h.models[n] for n in h.model_names() if n != ROOT_MODEL]
 
 
 def _per_model(system: System, condition: str, part, *args) -> list[Violation]:
     """One condition check as the concatenation, over user models, of each
-    model's part.  A part reads its model, the model's typing chain, the
-    models their typings reach and the shape of the hierarchy tree, which
-    replace_model keeps; so it is memoized about the typing chain, and a
-    rewrite recomputes only the parts that read the rewritten model."""
+    model's part.  A part yields (element, fault) findings about its model;
+    this is the one place that makes them violations.  A part reads its
+    model, the model's typing chain, the models their typings reach and the
+    shape of the hierarchy tree, which replace_model keeps; so it is memoized
+    about the typing chain, and a rewrite recomputes only the parts that read
+    the rewritten model."""
     out: list[Violation] = []
     for h in system.hierarchies():
         for m in _user_models(h):
@@ -711,7 +725,10 @@ def _per_model(system: System, condition: str, part, *args) -> list[Violation]:
             found = system.cache.get(ck, (None,))[0]
             if found is None:
                 about = tuple(x.name for x in h.typing_chain(m.name))
-                found = system.remember(ck, tuple(part(system, h, m, *args)), about)
+                found = tuple(
+                    Violation(condition, m.name, e, fault) for e, fault in part(system, h, m, *args)
+                )
+                system.remember(ck, found, about)
             out += found
     return out
 
@@ -722,37 +739,22 @@ def check_typing_structure(system: System) -> list[Violation]:
     return _per_model(system, "typing", _typing_part)
 
 
-def _typing_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
-    out = []
+def _typing_part(system: System, h: Hierarchy, m: Model) -> Findings:
     chain_above = {x.name for x in h.typing_chain(m.name)[1:]}
     for e in m.graph.elements():
         for dim, ref in m.typings[e].all_refs:
             try:
                 tgt_model = system.find_model(ref.model)
             except KeyError:
-                out.append(
-                    Violation("typing", m.name, elem_str(e), f"unknown model {ref.model}")
-                )
+                yield elem_str(e), f"unknown model {ref.model}"
                 continue
             if not tgt_model.graph.has(ref.elem):
-                out.append(
-                    Violation("typing", m.name, elem_str(e), f"unknown type {ref}")
-                )
+                yield elem_str(e), f"unknown type {ref}"
                 continue
             if isinstance(e, Arrow) != isinstance(ref.elem, Arrow):
-                out.append(
-                    Violation("typing", m.name, elem_str(e), f"kind mismatch with {ref}")
-                )
+                yield elem_str(e), f"kind mismatch with {ref}"
             if dim == "own" and ref.model not in chain_above:
-                out.append(
-                    Violation(
-                        "typing",
-                        m.name,
-                        elem_str(e),
-                        f"type {ref} not strictly above in the typing chain",
-                    )
-                )
-    return out
+                yield elem_str(e), f"type {ref} not strictly above in the typing chain"
 
 
 def check_non_dangling(system: System) -> list[Violation]:
@@ -761,40 +763,22 @@ def check_non_dangling(system: System) -> list[Violation]:
     return _per_model(system, "non-dangling", _non_dangling_part)
 
 
-def _non_dangling_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
-    out = []
+def _non_dangling_part(system: System, h: Hierarchy, m: Model) -> Findings:
     for a in m.plain_arrows:
         for _, ref in m.typings[a].all_refs:
             if not isinstance(ref.elem, Arrow):
                 continue
-            d = jump_distance(system, m.name, ref)
-            src_ok = any(
-                t.model == ref.model and t.elem == ref.elem.src and t.distance == d
-                for t in type_closure(system, m.name, a.src)
-            )
-            tgt_ok = any(
-                t.model == ref.model and t.elem == ref.elem.tgt and t.distance == d
-                for t in type_closure(system, m.name, a.tgt)
-            )
-            if not src_ok:
-                out.append(
-                    Violation(
-                        "non-dangling",
-                        m.name,
-                        elem_str(a),
-                        f"source {a.src} has no type {ref.elem.src}@{ref.model} at distance {d}",
-                    )
-                )
-            if not tgt_ok:
-                out.append(
-                    Violation(
-                        "non-dangling",
-                        m.name,
-                        elem_str(a),
-                        f"target {a.tgt} has no type {ref.elem.tgt}@{ref.model} at distance {d}",
-                    )
-                )
-    return out
+            try:
+                d = jump_distance(system, m.name, ref)
+            except KeyError:
+                continue  # an unknown model, which check_typing_structure reports
+            ends = (("source", a.src, ref.elem.src), ("target", a.tgt, ref.elem.tgt))
+            for end, x, type_x in ends:
+                if not any(
+                    t.model == ref.model and t.elem == type_x and t.distance == d
+                    for t in type_closure(system, m.name, x)
+                ):
+                    yield elem_str(a), f"{end} {x} has no type {type_x}@{ref.model} at distance {d}"
 
 
 def check_uniqueness(system: System) -> list[Violation]:
@@ -803,14 +787,12 @@ def check_uniqueness(system: System) -> list[Violation]:
     return _per_model(system, "uniqueness", _uniqueness_part)
 
 
-def _uniqueness_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
-    out = []
+def _uniqueness_part(system: System, h: Hierarchy, m: Model) -> Findings:
     chain = [x.name for x in h.typing_chain(m.name)]
     k = chain[0]
     for jdx in range(1, len(chain) - 1):
         j = chain[jdx]
-        for idx in range(jdx + 1, len(chain)):
-            i = chain[idx]
+        for i in chain[jdx + 1 :]:
             tau_kj = domain_between(system, k, j)
             tau_ji = domain_between(system, j, i)
             tau_ki = domain_between(system, k, i)
@@ -821,15 +803,8 @@ def _uniqueness_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
                     for e in list(composed.nodes) + list(composed.arrows)
                     if tau_ki.get(e) != composed.get(e)
                 )
-                out.append(
-                    Violation(
-                        "uniqueness",
-                        k,
-                        ",".join(bad) or "?",
-                        f"composite typing via {j} disagrees with direct typing into {i}",
-                    )
-                )
-    return out
+                fault = f"composite typing via {j} disagrees with direct typing into {i}"
+                yield ",".join(bad) or "?", fault
 
 
 def check_potency(system: System) -> list[Violation]:
@@ -839,11 +814,13 @@ def check_potency(system: System) -> list[Violation]:
     return _per_model(system, "potency", _potency_part)
 
 
-def _potency_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
-    out = []
+def _potency_part(system: System, h: Hierarchy, m: Model) -> Findings:
     for e in m.graph.elements():
         for _, ref in m.typings[e].all_refs:
-            faults = instance_faults(system, m.name, ref)
+            try:
+                faults = instance_faults(system, m.name, ref)
+            except KeyError:
+                continue  # an unknown model, which check_typing_structure reports
             tpot = effective_potency(system, ref.model, ref.elem)
             if tpot.depth is not None:
                 epot = effective_potency(system, m.name, e)
@@ -853,8 +830,7 @@ def _potency_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
                         f"less than depth {tpot.depth} of type {ref}"
                     )
             for fault in faults:
-                out.append(Violation("potency", m.name, elem_str(e), fault))
-    return out
+                yield elem_str(e), fault
 
 
 def instance_faults(system: System, model_name: str, ref: TypeRef) -> list[str]:
@@ -882,48 +858,29 @@ def check_inheritance(system: System) -> list[Violation]:
     return _per_model(system, "inheritance", _inheritance_part)
 
 
-def _inheritance_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
-    out = []
+def _inheritance_part(system: System, h: Hierarchy, m: Model) -> Findings:
     for a in sorted(m.inherit_arrows):
         if a.src == a.tgt:
-            out.append(Violation("inheritance", m.name, elem_str(a), "self-inheritance"))
+            yield elem_str(a), "self-inheritance"
     for start in sorted({a.src for a in m.inherit_arrows}):
         if start in m.ancestors(start):
-            out.append(Violation("inheritance", m.name, start, "inheritance cycle"))
+            yield start, "inheritance cycle"
     chain = [x.name for x in h.typing_chain(m.name)]
     for a in sorted(m.inherit_arrows):
         x, y = a.src, a.tgt
         if x not in m.graph.nodes or y not in m.graph.nodes:
             continue
         for above in chain[1:]:
-            dom, tau = domain_of_definition(system, h, m.name, above)
-            if dom.has(x) != dom.has(y) or (
-                dom.has(x) and tau.get(x) != tau.get(y)
-            ):
-                out.append(
-                    Violation(
-                        "inheritance",
-                        m.name,
-                        x,
-                        f"typing into {above} differs from parent {y}",
-                    )
-                )
+            # unequal images: defined on one side only, or typed differently
+            tau = domain_between(system, m.name, above)
+            if tau.get(x) != tau.get(y):
+                yield x, f"typing into {above} differs from parent {y}"
         child_arrow_names = {b.name for b in m.plain_arrows if b.src == x}
         parent_arrow_names = {b.name for b in m.plain_arrows if b.src == y}
         for clash in sorted(child_arrow_names & parent_arrow_names):
-            out.append(
-                Violation(
-                    "inheritance", m.name, x, f"redefines parent arrow name {clash}"
-                )
-            )
-        shared_attrs = set(m.attr_decls.get(x, ())) & set(m.attr_decls.get(y, ()))
-        for clash in sorted(shared_attrs):
-            out.append(
-                Violation(
-                    "inheritance", m.name, x, f"redefines parent attribute {clash}"
-                )
-            )
-    return out
+            yield x, f"redefines parent arrow name {clash}"
+        for clash in sorted(set(m.attr_decls.get(x, ())) & set(m.attr_decls.get(y, ()))):
+            yield x, f"redefines parent attribute {clash}"
 
 
 def check_multiplicity(system: System, strict: bool = False) -> list[Violation]:
@@ -933,23 +890,17 @@ def check_multiplicity(system: System, strict: bool = False) -> list[Violation]:
     return _per_model(system, "multiplicity", _multiplicity_part, strict)
 
 
-def _multiplicity_part(system: System, h: Hierarchy, m: Model, strict: bool) -> list[Violation]:
-    out = []
+def _multiplicity_part(system: System, h: Hierarchy, m: Model, strict: bool) -> Findings:
     counts = m.arrow_counts
     for (ref, src), n in sorted(counts.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
-        tgt_model = system.find_model(ref.model)
         if not isinstance(ref.elem, Arrow):
             continue
-        mult = tgt_model.multiplicity(ref.elem)
+        try:
+            mult = system.find_model(ref.model).multiplicity(ref.elem)
+        except KeyError:
+            continue  # an unknown model, which check_typing_structure reports
         if mult.max is not None and n > mult.max:
-            out.append(
-                Violation(
-                    "multiplicity",
-                    m.name,
-                    src,
-                    f"{n} direct instances of {ref} exceed max {mult.max}",
-                )
-            )
+            yield src, f"{n} direct instances of {ref} exceed max {mult.max}"
     if strict:
         for above in h.typing_chain(m.name)[1:]:
             for f in above.plain_arrows:
@@ -963,15 +914,7 @@ def _multiplicity_part(system: System, h: Hierarchy, m: Model, strict: bool) -> 
                         continue
                     n = counts.get((ref, x), 0)
                     if n < mult.min:
-                        out.append(
-                            Violation(
-                                "multiplicity",
-                                m.name,
-                                x,
-                                f"{n} direct instances of {ref} below min {mult.min}",
-                            )
-                        )
-    return out
+                        yield x, f"{n} direct instances of {ref} below min {mult.min}"
 
 
 def check_dimensions(system: System) -> list[Violation]:
@@ -981,67 +924,35 @@ def check_dimensions(system: System) -> list[Violation]:
     return _per_model(system, "dimensions", _dimensions_part)
 
 
-def _dimensions_part(system: System, h: Hierarchy, m: Model) -> list[Violation]:
-    out = []
-    is_app = h.dimension == APPLICATION
+def _dimensions_part(system: System, h: Hierarchy, m: Model) -> Findings:
     for e in m.graph.elements():
         typing = m.typings[e]
-        extras = list(typing.supplementary.items()) + (
-            [("data", typing.data)] if typing.data else []
-        )
-        if extras and not is_app:
-            out.append(
-                Violation(
-                    "dimensions",
-                    m.name,
-                    elem_str(e),
-                    "multi-typed element outside the application dimension",
-                )
-            )
+        if (typing.supplementary or typing.data) and h.dimension != APPLICATION:
+            yield elem_str(e), "multi-typed element outside the application dimension"
         for hname, ref in typing.supplementary.items():
             if hname not in system.supplementary:
-                out.append(
-                    Violation(
-                        "dimensions",
-                        m.name,
-                        elem_str(e),
-                        f"unknown supplementary hierarchy {hname}",
-                    )
-                )
-                continue
-            if ref.model not in system.supplementary[hname].models:
-                out.append(
-                    Violation(
-                        "dimensions",
-                        m.name,
-                        elem_str(e),
-                        f"type {ref} outside supplementary hierarchy {hname}",
-                    )
-                )
+                yield elem_str(e), f"unknown supplementary hierarchy {hname}"
+            elif ref.model not in system.supplementary[hname].models:
+                yield elem_str(e), f"type {ref} outside supplementary hierarchy {hname}"
         if typing.data and typing.data.model not in system.data.models:
-            out.append(
-                Violation(
-                    "dimensions",
-                    m.name,
-                    elem_str(e),
-                    f"data type {typing.data} outside the data-type hierarchy",
-                )
-            )
-    return out
+            yield elem_str(e), f"data type {typing.data} outside the data-type hierarchy"
 
 
 @dataclass
 class ValidationReport:
+    """The violations found, without duplicates and in sorted order."""
+
     violations: list
+
+    def __post_init__(self):
+        self.violations = sorted(set(self.violations))
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def render(self) -> str:
-        if self.ok:
-            return "ok\n"
-        return "\n".join(str(v) for v in sorted(self.violations)) + "\n"
+        return "\n".join(str(v) for v in self.violations) + "\n" if self.violations else "ok\n"
 
 
 def validate_hierarchy(system: System, strict_multiplicity: bool = False) -> ValidationReport:
@@ -1061,8 +972,7 @@ def validate_hierarchy(system: System, strict_multiplicity: bool = False) -> Val
     vs += check_inheritance(system)
     vs += check_multiplicity(system, strict=strict_multiplicity)
     vs += check_dimensions(system)
-    return system.remember(ck, ValidationReport(sorted(set(vs))), None)
-
+    return system.remember(ck, ValidationReport(vs), None)
 
 # ---------------------------------------------------------------------------
 # Attribute sugar

@@ -152,7 +152,7 @@ def _parse_statement(cur: Cursor) -> tuple:
 
 
 def _trailing(cur: Cursor, arrow: bool):
-    """Optional `: TYPE@MODEL [@d] [& ...]`, `pot P`, `mult LO..HI`, `abstract`."""
+    """Optional `: TYPE@MODEL [& ...]`, `pot P`, `mult LO..HI`, `abstract`."""
     types: list[tuple[str, str]] = []
     pot = None
     mult = None
@@ -163,9 +163,6 @@ def _trailing(cur: Cursor, arrow: bool):
             tname = cur.expect_kind("ident").text
             cur.expect("@")
             tmodel = cur.expect_kind("ident").text
-            if cur.peek().text == "@":  # optional explicit level distance, ignored
-                cur.next()
-                cur.next()
             types.append((tname, tmodel))
             if cur.peek().text == "&":
                 cur.next()

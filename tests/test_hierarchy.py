@@ -349,6 +349,115 @@ def test_validate_hierarchy_aggregates(robolang_system):
     assert validate_hierarchy(empty).ok
 
 
+def _one_model_system(typings: dict, inherit=(), attr_decls=None) -> System:
+    """Model m under lang (nodes T and U, arrow e: T -> U) with the given
+    typings, next to a supplementary hierarchy s holding model s1.  Built
+    by hand, since the loader refuses the faults the tests below seed."""
+    lang = Model("lang", graph(["T", "U"], [("e", "T", "U")]))
+    arrows = [(a.name, a.src, a.tgt) for a in inherit]
+    m = Model(
+        "m",
+        graph(list(typings), arrows),
+        typings,
+        inherit_arrows=frozenset(inherit),
+        attr_decls=attr_decls or {},
+    )
+    h = Hierarchy("h", APPLICATION).with_model(lang, ROOT_MODEL).with_model(m, "lang")
+    s1 = Model("s1", graph(["S"]))
+    return System(h, {"s": Hierarchy("s", SUPPLEMENTARY).with_model(s1, ROOT_MODEL)})
+
+
+def _typed(elem, **extra) -> ElementTyping:
+    return ElementTyping(TypeRef("lang", elem), **extra)
+
+
+@pytest.mark.parametrize(
+    "system, text",
+    [
+        (
+            lambda: _one_model_system({"a": _typed("Nope")}),
+            "[typing] m/a: unknown type Nope@lang",
+        ),
+        (
+            lambda: _one_model_system({"b": _typed(Arrow("e", "T", "U"))}),
+            "[typing] m/b: kind mismatch with e:T->U@lang",
+        ),
+        (
+            lambda: _one_model_system(
+                {"c": _typed("T", supplementary={"nosuch": TypeRef("s1", "S")})}
+            ),
+            "[dimensions] m/c: unknown supplementary hierarchy nosuch",
+        ),
+        (
+            lambda: _one_model_system(
+                {"c": _typed("T", supplementary={"s": TypeRef("lang", "U")})}
+            ),
+            "[dimensions] m/c: type U@lang outside supplementary hierarchy s",
+        ),
+        (
+            lambda: _one_model_system({"d": _typed("T", data=TypeRef("lang", "U"))}),
+            "[dimensions] m/d: data type U@lang outside the data-type hierarchy",
+        ),
+        (
+            lambda: _one_model_system(
+                {"c": _typed("T"), "p": _typed("T")},
+                inherit=[Arrow("inh", "c", "p")],
+                attr_decls={"c": {"x": "Int"}, "p": {"x": "Int"}},
+            ),
+            "[inheritance] m/c: redefines parent attribute x",
+        ),
+    ],
+    ids=["unknown-type", "kind-mismatch", "unknown-supplementary", "outside-supplementary",
+         "data-type-outside", "parent-attribute"],
+)
+def test_violation_texts_of_hand_built_systems(system, text):
+    assert validate_hierarchy(system()).render() == text + "\n"
+
+
+def test_uniqueness_violation_through_a_data_typing():
+    """The walk behind the typing morphisms takes e's own type into lang
+    first, so a data typing into mid, whose type sits at another lang node,
+    makes the composite through mid disagree with the direct typing."""
+    lang = Model("lang", graph(["Z", "W"]))
+    mid = Model("mid", graph(["Y"]), {"Y": ElementTyping(TypeRef("lang", "W"))})
+    m = Model(
+        "m", graph(["e"]), {"e": ElementTyping(TypeRef("lang", "Z"), data=TypeRef("mid", "Y"))}
+    )
+    h = Hierarchy("h", APPLICATION).with_model(lang, ROOT_MODEL).with_model(mid, "lang")
+    assert validate_hierarchy(System(h.with_model(m, "mid"))).render() == (
+        "[dimensions] m/e: data type Y@mid outside the data-type hierarchy\n"
+        "[potency] m/e: instance of Z@lang at distance 2 outside range 1-1\n"
+        "[uniqueness] m/e: composite typing via mid disagrees with direct typing into lang\n"
+    )
+
+
+def test_validation_skips_a_reference_to_an_unknown_model():
+    """Only the typing check reports a type in a model the system does not
+    hold; the checks that walk typings skip that reference."""
+    e = Arrow("e", "T", "T")
+    lang = Model("lang", graph(["T"], [("e", "T", "T")]), multiplicities={e: Multiplicity(1, 2)})
+    m = Model(
+        "m",
+        graph(["a", "b"], [("e", "a", "b"), ("g", "b", "b")]),
+        {
+            "a": ElementTyping(TypeRef("nowhere", "X")),
+            "b": ElementTyping(TypeRef("lang", "T")),
+            Arrow("e", "a", "b"): ElementTyping(TypeRef("lang", e)),
+            Arrow("g", "b", "b"): ElementTyping(TypeRef("nowhere", Arrow("g", "X", "X"))),
+        },
+    )
+    h = Hierarchy("h", APPLICATION).with_model(lang, ROOT_MODEL).with_model(m, "lang")
+    report = (
+        "[non-dangling] m/e:a->b: source a has no type T@lang at distance 1\n"
+        "[typing] m/a: unknown model nowhere\n"
+        "[typing] m/g:b->b: unknown model nowhere\n"
+    )
+    assert validate_hierarchy(System(h)).render() == report
+    assert validate_hierarchy(System(h), strict_multiplicity=True).render() == (
+        "[multiplicity] m/b: 0 direct instances of e:T->T@lang below min 1\n" + report
+    )
+
+
 def test_reconstruction_round_trip(robolang_system, pls_system):
     for system in (robolang_system, pls_system):
         h = system.application

@@ -293,6 +293,19 @@ def test_cli_check_chain_exit_codes(capsys):
     assert code == 0 and "refactoring robot_1_run_1" in out
 
 
+def test_cli_check_chain_exit_code_reads_the_pairs_not_the_names(tmp_path, capsys):
+    """A model whose name contains FAIL and whose every pair is ok exits 0."""
+    path = tmp_path / "failover.mlh"
+    path.write_text(
+        "hierarchy application h {\n  model lang : root {\n    node T\n  }\n"
+        "  model FAILOVER : lang {\n    node a : T@lang\n  }\n}\n"
+    )
+    code = main(["check-chain", str(path), "--model", "FAILOVER"])
+    out = capsys.readouterr().out
+    assert out == "refactoring FAILOVER over [root, lang]\n  pair (0,1): ok (equality)\n"
+    assert code == 0
+
+
 def test_cli_proliferate_to_directory(tmp_path, capsys):
     code = main(
         [
@@ -327,8 +340,9 @@ INSERT_INPUT_MENU = (
 
 @pytest.mark.parametrize("answers, passes", [("1\n", 2), ("", 1)])
 def test_cli_simulate_interactive_reads_piped_stdin(tmp_path, robolang_rules, answers, passes):
-    """Each pass prompts on stdout; an answer applies its candidate, and end
-    of input aborts the pass, which ends the run with the model as it is."""
+    """Each pass prompts on stderr; an answer applies its candidate, and end
+    of input aborts the pass, which ends the run with the model as it is.
+    Stdout is the saved hierarchy alone."""
     layers = tmp_path / "insert.layers"
     layers.write_text("layer choose-one { InsertInput }\n", encoding="utf-8")
     proc = subprocess.run(
@@ -346,7 +360,8 @@ def test_cli_simulate_interactive_reads_piped_stdin(tmp_path, robolang_rules, an
             system, "robot_1_run_1", robolang_rules, config, steps=1, chooser=ScriptedChoice([0])
         )
     assert proc.returncode == 0
-    assert proc.stdout == INSERT_INPUT_MENU * passes + "\naborted\n" + save_hierarchy(system)
+    assert proc.stderr == INSERT_INPUT_MENU * passes + "\naborted\n"
+    assert proc.stdout == save_hierarchy(system)
 
 
 def test_console_entry_point_runs():
@@ -568,6 +583,12 @@ def test_cli_pattern_over_the_size_cap_is_one_line_exit_two(tmp_path, capsys):
         ),
         ("l.layers", "layer once { StepTime (x=1) }\n", "error: 1:23: expected ident, found '('"),
         ("l.layers", "layer once { Start; 42 !! }\n", "error: 1:24: unexpected character '!'"),
+        (
+            "h.mlh",
+            "hierarchy application h {\n  model lang : root {\n    node T\n  }\n"
+            "  model run : lang {\n    node a : T@lang @\n  }\n}\n",
+            "error: 6:21: unknown statement '@'",
+        ),
     ],
     ids=[
         "mlh-multiplicity",
@@ -581,6 +602,7 @@ def test_cli_pattern_over_the_size_cap_is_one_line_exit_two(tmp_path, capsys):
         "mcmt-inverted-potency",
         "layers-detached-parameters",
         "layers-junk",
+        "mlh-stray-at",
     ],
 )
 def test_cli_bad_value_is_one_line_and_exit_two(tmp_path, capsys, name, text, message):
