@@ -952,7 +952,9 @@ class ValidationReport:
         return not self.violations
 
     def render(self) -> str:
-        return "\n".join(str(v) for v in self.violations) + "\n" if self.violations else "ok\n"
+        if self.ok:
+            return "ok\n"
+        return "\n".join(str(v) for v in self.violations) + "\n"
 
 
 def validate_hierarchy(system: System, strict_multiplicity: bool = False) -> ValidationReport:
@@ -973,6 +975,7 @@ def validate_hierarchy(system: System, strict_multiplicity: bool = False) -> Val
     vs += check_multiplicity(system, strict=strict_multiplicity)
     vs += check_dimensions(system)
     return system.remember(ck, ValidationReport(vs), None)
+
 
 # ---------------------------------------------------------------------------
 # Attribute sugar

@@ -433,28 +433,40 @@ def test_uniqueness_violation_through_a_data_typing():
 
 def test_validation_skips_a_reference_to_an_unknown_model():
     """Only the typing check reports a type in a model the system does not
-    hold; the checks that walk typings skip that reference."""
+    hold; the checks that walk typings skip that reference, also where it
+    sits next to a known type (c, whose type T has a depth to inherit)."""
     e = Arrow("e", "T", "T")
-    lang = Model("lang", graph(["T"], [("e", "T", "T")]), multiplicities={e: Multiplicity(1, 2)})
+    lang = Model(
+        "lang",
+        graph(["T"], [("e", "T", "T")]),
+        potencies={"T": Potency(1, 1, 2)},
+        multiplicities={e: Multiplicity(1, 2)},
+    )
     m = Model(
         "m",
-        graph(["a", "b"], [("e", "a", "b"), ("g", "b", "b")]),
+        graph(["a", "b", "c"], [("e", "a", "b"), ("g", "b", "b")]),
         {
             "a": ElementTyping(TypeRef("nowhere", "X")),
             "b": ElementTyping(TypeRef("lang", "T")),
+            "c": ElementTyping(TypeRef("lang", "T"), data=TypeRef("nowhere", "X")),
             Arrow("e", "a", "b"): ElementTyping(TypeRef("lang", e)),
             Arrow("g", "b", "b"): ElementTyping(TypeRef("nowhere", Arrow("g", "X", "X"))),
         },
     )
     h = Hierarchy("h", APPLICATION).with_model(lang, ROOT_MODEL).with_model(m, "lang")
-    report = (
+    dimensions = "[dimensions] m/c: data type X@nowhere outside the data-type hierarchy\n"
+    rest = (
         "[non-dangling] m/e:a->b: source a has no type T@lang at distance 1\n"
         "[typing] m/a: unknown model nowhere\n"
+        "[typing] m/c: unknown model nowhere\n"
         "[typing] m/g:b->b: unknown model nowhere\n"
     )
-    assert validate_hierarchy(System(h)).render() == report
+    assert validate_hierarchy(System(h)).render() == dimensions + rest
     assert validate_hierarchy(System(h), strict_multiplicity=True).render() == (
-        "[multiplicity] m/b: 0 direct instances of e:T->T@lang below min 1\n" + report
+        dimensions
+        + "[multiplicity] m/b: 0 direct instances of e:T->T@lang below min 1\n"
+        + "[multiplicity] m/c: 0 direct instances of e:T->T@lang below min 1\n"
+        + rest
     )
 
 
