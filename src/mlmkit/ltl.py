@@ -5,9 +5,10 @@ Formulas are ordinary models: operator nodes typed by the logic model, glued
 by formula/left/right arrows under a single root marker.  Atomic propositions
 are double-typed nodes whose application types form an embedded pattern
 fragment, evaluated by matching the fragment against a snapshot.  One monitor
-step unrolls the temporal operators (copying subformulas, so the residual
-stays intact), evaluates the atoms outside the next-operator region, folds
-boolean constants and finally strips the next operators.
+step unrolls the temporal operators (the residual is a copy of the term, so
+it stays intact), evaluates the atoms outside the next-operator region, folds
+boolean constants and finally strips the next operators.  Each stage reads
+the formula model as a term and writes the model afresh.
 """
 
 from __future__ import annotations
@@ -167,16 +168,11 @@ def render_term(t) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _supp_type(system: System, model: Model, key):
-    for ref in model.typings[key].supplementary.values():
-        return ref
-    return None
-
-
-def _ltl_kind(system: System, model: Model, key):
+def _ltl_kind(model: Model, key):
     """The logic-operator node typing an element, or None."""
-    ref = _supp_type(system, model, key)
-    return ref.elem if ref else None
+    for ref in model.typings[key].supplementary.values():
+        return ref.elem
+    return None
 
 
 def build_formula_model(
@@ -188,6 +184,12 @@ def build_formula_model(
     marker r0.  `fragments` maps atom names to application TypeRefs, attached
     as second types on the atomic nodes."""
     fragments = fragments or {}
+    return _write(term, name, lambda t: (fragments.get(t[1]), {"prop": t[1]}))
+
+
+def _write(term, name: str, atom) -> Model:
+    """build_formula_model, with atom(t) giving an atomic node's own type
+    and attribute values."""
     ltl_name = "ltl"
     nodes: list[str] = []
     arrows: list[Arrow] = []
@@ -206,8 +208,8 @@ def build_formula_model(
         if op == "const":
             supp(me, "True" if t[1] else "False")
         elif op == "atom":
-            supp(me, "Atomic", fragments.get(t[1]))
-            attr_values[me] = {"prop": t[1]}
+            own, attr_values[me] = atom(t)
+            supp(me, "Atomic", own)
         elif op in UNARY_OPS:
             supp(me, UNARY_OPS[op])
             child = emit(t[1])
@@ -243,14 +245,14 @@ def formula_system(term, fragments: dict | None = None) -> System:
     return System(app, {"ltl": make_ltl_hierarchy()})
 
 
-def _structure(system: System, model: Model):
+def _structure(model: Model):
     """Logic kinds, child maps and root node (None without a root marker) of
     a formula model."""
-    kinds = {n: _ltl_kind(system, model, n) for n in model.graph.nodes}
+    kinds = {n: _ltl_kind(model, n) for n in model.graph.nodes}
     out: dict[str, dict[str, str]] = {n: {} for n in model.graph.nodes}
     root = None
     for a in model.plain_arrows:
-        kind = _ltl_kind(system, model, a)
+        kind = _ltl_kind(model, a)
         if not isinstance(kind, Arrow):
             continue
         if kind.name == "rootf":
@@ -260,15 +262,15 @@ def _structure(system: System, model: Model):
     return kinds, out, root
 
 
-def to_term(system: System, model_name: str):
-    """Unfold the model from its root into a term; shared subgraphs are
-    duplicated, unreachable junk ignored."""
-    model = system.find_model(model_name)
-    kinds, children, root = _structure(system, model)
+def _read(model: Model, atom=lambda t, now: t):
+    """The unfolding of to_term, where an atomic node reads as
+    ("atom", prop, node) passed through atom(term, now): now says the walk
+    reached it without crossing a next operator."""
+    kinds, children, root = _structure(model)
     if root is None:
-        raise ValueError(f"{model_name} has no root formula")
+        raise ValueError(f"{model.name} has no root formula")
 
-    def walk(n, depth=0):
+    def walk(n, now, depth=0):
         if depth > model.graph.size + 2:
             raise ValueError("formula structure is cyclic")
         k = kinds.get(n)
@@ -277,211 +279,151 @@ def to_term(system: System, model_name: str):
         if k == "False":
             return ("const", False)
         if k == "Atomic":
-            return ("atom", model.attr_values.get(n, {}).get("prop", n))
+            return atom(("atom", model.attr_values.get(n, {}).get("prop", n), n), now)
         if k in ("Not", "X", "F", "G"):
-            return (NODE_TO_OP[k], walk(children[n]["formula"], depth + 1))
+            return (NODE_TO_OP[k], walk(children[n]["formula"], now and k != "X", depth + 1))
         if k in ("And", "Or", "Implication", "U", "R"):
             return (
                 NODE_TO_OP[k],
-                walk(children[n]["left"], depth + 1),
-                walk(children[n]["right"], depth + 1),
+                walk(children[n]["left"], now, depth + 1),
+                walk(children[n]["right"], now, depth + 1),
             )
         raise ValueError(f"node {n} is not a formula element (kind {k})")
 
-    term = walk(root)
+    term = walk(root, True)
     del walk  # a closure that calls itself is a reference cycle: free it now
     return term
 
 
+def to_term(system: System, model_name: str):
+    """Unfold the model from its root into a term; shared subgraphs are
+    duplicated, unreachable junk ignored."""
+    return _read(system.find_model(model_name), lambda t, now: t[:2])
+
+
+def _rebuild(system: System, model: Model, term) -> System:
+    """The system with the formula model written afresh for a term read from
+    it: each atomic node keeps the own type and the attribute values of the
+    node its atom was read from."""
+
+    def atom(t):
+        _, prop, node = t
+        return model.typings[node].own, {**model.attr_values.get(node, {}), "prop": prop}
+
+    return system.replace_model(_write(term, model.name, atom))
+
+
 # ---------------------------------------------------------------------------
-# The rewriting operations (graph level)
+# The library step: read the model as a term, step the term, write it back
 # ---------------------------------------------------------------------------
-
-
-class _Builder:
-    """Accumulates a rewritten formula model with fresh deterministic names:
-    its nodes, arrows, typings and attribute values, from which finish
-    constructs the model."""
-
-    def __init__(self, system: System, model: Model):
-        self.system = system
-        self.model = model
-        self.nodes: list[str] = []
-        self.arrows: list[Arrow] = []
-        self.typings: dict = {}
-        self.attr_values: dict = {}
-        self.counter = 0
-        self.supp_hier = next(iter(model.typings[next(iter(model.graph.nodes))].supplementary))
-
-    def fresh(self, kind: str, own: TypeRef | None = None) -> str:
-        self.counter += 1
-        name = f"n{self.counter}"
-        while name in self.model.graph.nodes or name in self.nodes:
-            self.counter += 1
-            name = f"n{self.counter}"
-        self.nodes.append(name)
-        self.typings[name] = ElementTyping(own, {self.supp_hier: TypeRef(self.supp_hier, kind)})
-        return name
-
-    def link(self, src: str, tgt: str, slot: str):
-        self.counter += 1
-        a = Arrow(f"{slot[0]}{src}_{self.counter}", src, tgt)
-        self.arrows.append(a)
-        kind = {
-            "formula": Arrow("formula", "Unary", "Formula"),
-            "left": Arrow("left", "Binary", "Formula"),
-            "right": Arrow("right", "Binary", "Formula"),
-            "rootf": Arrow("rootf", "Root", "Formula"),
-        }[slot]
-        self.typings[a] = ElementTyping(None, {self.supp_hier: TypeRef(self.supp_hier, kind)})
-        return a
-
-    def kind_of(self, n: str):
-        """The logic kind of a node already built."""
-        return next(iter(self.typings[n].supplementary.values())).elem
-
-    def finish(self) -> System:
-        model = Model(
-            self.model.name,
-            graph(self.nodes, self.arrows),
-            self.typings,
-            attr_values=self.attr_values,
-        )
-        return self.system.replace_model(model)
 
 
 def unroll(system: System, model_name: str) -> System:
     """One unrolling generation: every until/release/eventually/globally node
-    is split into its now-part and a next-state copy; subformulas are copied
-    so later evaluation cannot corrupt the residual."""
+    outside a next operator is split into its now-part and a next-state copy
+    of itself, which stays raw."""
     model = system.find_model(model_name)
-    kinds, children, root = _structure(system, model)
-    b = _Builder(system, model)
-
-    def copy_subtree(n: str) -> str:
-        return _copy_any(b, model, kinds, children, n)
-
-    def walk(n: str) -> str:
-        # guarded normal form: temporal operators outside an X expand, the
-        # next-state copies under the created X stay raw
-        k = kinds[n]
-        if k == "U":
-            phi, psi = children[n]["left"], children[n]["right"]
-            or_ = b.fresh("Or")
-            and_ = b.fresh("And")
-            x = b.fresh("X")
-            b.link(or_, walk(psi), "left")
-            b.link(or_, and_, "right")
-            b.link(and_, walk(phi), "left")
-            b.link(and_, x, "right")
-            u2 = b.fresh("U")
-            b.link(u2, copy_subtree(phi), "left")
-            b.link(u2, copy_subtree(psi), "right")
-            b.link(x, u2, "formula")
-            return or_
-        if k == "R":
-            phi, psi = children[n]["left"], children[n]["right"]
-            and_ = b.fresh("And")
-            or_ = b.fresh("Or")
-            x = b.fresh("X")
-            b.link(and_, walk(psi), "left")
-            b.link(and_, or_, "right")
-            b.link(or_, walk(phi), "left")
-            b.link(or_, x, "right")
-            r2 = b.fresh("R")
-            b.link(r2, copy_subtree(phi), "left")
-            b.link(r2, copy_subtree(psi), "right")
-            b.link(x, r2, "formula")
-            return and_
-        if k == "F":
-            phi = children[n]["formula"]
-            or_ = b.fresh("Or")
-            x = b.fresh("X")
-            f2 = b.fresh("F")
-            b.link(or_, walk(phi), "left")
-            b.link(or_, x, "right")
-            b.link(f2, copy_subtree(phi), "formula")
-            b.link(x, f2, "formula")
-            return or_
-        if k == "G":
-            phi = children[n]["formula"]
-            and_ = b.fresh("And")
-            x = b.fresh("X")
-            g2 = b.fresh("G")
-            b.link(and_, walk(phi), "left")
-            b.link(and_, x, "right")
-            b.link(g2, copy_subtree(phi), "formula")
-            b.link(x, g2, "formula")
-            return and_
-        if k == "X":
-            me = b.fresh(k)
-            b.link(me, copy_subtree(children[n]["formula"]), "formula")
-            return me
-        if k == "Not":
-            me = b.fresh(k)
-            b.link(me, walk(children[n]["formula"]), "formula")
-            return me
-        if k in ("And", "Or", "Implication"):
-            me = b.fresh(k)
-            b.link(me, walk(children[n]["left"]), "left")
-            b.link(me, walk(children[n]["right"]), "right")
-            return me
-        return copy_subtree(n)  # leaves
-
-    if root is None:
-        raise ValueError("no root formula")
-    top = walk(root)
-    del walk  # a closure that calls itself is a reference cycle: free it now
-    r0 = b.fresh("Root")
-    b.link(r0, top, "rootf")
-    return b.finish()
+    return _rebuild(system, model, _unroll(_read(model)))
 
 
 def evaluate_atomics(system: System, model_name: str, snapshot: str) -> System:
     """Replace each atomic proposition outside the next-operator region by the
     truth of matching its embedded fragment against the snapshot."""
     model = system.find_model(model_name)
-    kinds, children, root = _structure(system, model)
-    b = _Builder(system, model)
 
-    def protected_walk(n: str) -> str:  # under X: copy verbatim
-        return _copy_any(b, model, kinds, children, n)
+    def atom(t, now):
+        return ("const", fragment_holds(system, model_name, t[2], snapshot)) if now else t
 
-    def walk(n: str) -> str:
-        k = kinds[n]
-        if k == "Atomic":
-            value = fragment_holds(system, model_name, n, snapshot)
-            return b.fresh("True" if value else "False")
-        if k == "X":
-            me = b.fresh("X")
-            b.link(me, protected_walk(children[n]["formula"]), "formula")
-            return me
-        if k in ("Not", "F", "G"):
-            me = b.fresh(k)
-            b.link(me, walk(children[n]["formula"]), "formula")
-            return me
-        if k in ("And", "Or", "Implication", "U", "R"):
-            me = b.fresh(k)
-            b.link(me, walk(children[n]["left"]), "left")
-            b.link(me, walk(children[n]["right"]), "right")
-            return me
-        return _copy_any(b, model, kinds, children, n)
-
-    top = walk(root)
-    del walk  # a closure that calls itself is a reference cycle: free it now
-    r0 = b.fresh("Root")
-    b.link(r0, top, "rootf")
-    return b.finish()
+    return _rebuild(system, model, _read(model, atom))
 
 
-def _copy_any(b: _Builder, model, kinds, children, n: str) -> str:
-    me = b.fresh(kinds[n], model.typings[n].own)
-    if n in model.attr_values:
-        b.attr_values[me] = model.attr_values[n]
-    for slot in ("formula", "left", "right"):
-        if slot in children.get(n, {}):
-            b.link(me, _copy_any(b, model, kinds, children, children[n][slot]), slot)
-    return me
+def simplify_and_step(system: System, model_name: str) -> System:
+    """Fold boolean constants, then strip every next operator so the residual
+    is ready for the following snapshot."""
+    model = system.find_model(model_name)
+    return _rebuild(system, model, _simplify(_strip_next(_simplify(_read(model)))))
+
+
+def monitor_step(system: System, model_name: str, snapshot: str) -> System:
+    """One verification step against one snapshot: unroll, evaluate the atoms
+    outside the next region, simplify, strip the next operators."""
+    system = unroll(system, model_name)
+    system = evaluate_atomics(system, model_name, snapshot)
+    return simplify_and_step(system, model_name)
+
+
+def _unroll(t):
+    op = t[0]
+    if op in ("const", "atom", "X"):  # a next operator's operand stays raw
+        return t
+    if op == "F":
+        return ("or", _unroll(t[1]), ("X", t))
+    if op == "G":
+        return ("and", _unroll(t[1]), ("X", t))
+    if op == "U":
+        return ("or", _unroll(t[2]), ("and", _unroll(t[1]), ("X", t)))
+    if op == "R":
+        return ("and", _unroll(t[2]), ("or", _unroll(t[1]), ("X", t)))
+    return (op, *map(_unroll, t[1:]))
+
+
+def _strip_next(t):
+    op = t[0]
+    if op == "X":
+        return _strip_next(t[1])
+    if op in ("const", "atom"):
+        return t
+    return (op, *map(_strip_next, t[1:]))
+
+
+TRUE, FALSE = ("const", True), ("const", False)
+
+
+def _simplify(t):
+    """Fold boolean constants bottom-up, through the temporal operators too."""
+    op = t[0]
+    if op in ("const", "atom"):
+        return t
+    if op in UNARY_OPS:
+        s = _simplify(t[1])
+        if op == "not" and s[0] == "const":
+            return ("const", not s[1])
+        if (op, s) in (("F", TRUE), ("G", FALSE)):
+            return s
+        return (op, s)
+    l, r = _simplify(t[1]), _simplify(t[2])
+    if op == "and":
+        if FALSE in (l, r):
+            return FALSE
+        if l == TRUE:
+            return r
+        if r == TRUE:
+            return l
+    elif op == "or":
+        if TRUE in (l, r):
+            return TRUE
+        if l == FALSE:
+            return r
+        if r == FALSE:
+            return l
+    elif op == "impl":
+        if l == FALSE or r == TRUE:
+            return TRUE
+        if l == TRUE:
+            return r
+        if r == FALSE:
+            return ("not", l)
+    elif op == "U":
+        if r == TRUE:
+            return TRUE
+        if l == FALSE:
+            return r
+    elif op == "R":
+        if r == FALSE:
+            return FALSE
+        if l == TRUE:
+            return r
+    return (op, l, r)
 
 
 def fragment_holds(system: System, model_name: str, atomic: str, snapshot: str) -> bool:
@@ -532,100 +474,6 @@ def _fragment_elements(system: System, model: Model, atomic: str):
     return sorted(elems, key=repr)
 
 
-# ---------------------------------------------------------------------------
-# Simplification
-# ---------------------------------------------------------------------------
-
-
-def _fold(kinds, children, b, model, n: str, strip_x: bool) -> str:
-    k = kinds[n]
-    if k in ("Not", "F", "G", "X"):
-        child = children[n]["formula"]
-        if k == "X" and strip_x:
-            return _fold(kinds, children, b, model, child, strip_x)
-        sub = _fold(kinds, children, b, model, child, strip_x)
-        sk = b.kind_of(sub)
-        if k == "Not" and sk in ("True", "False"):
-            return b.fresh("False" if sk == "True" else "True")
-        if k == "F" and sk == "True":
-            return b.fresh("True")
-        if k == "G" and sk == "False":
-            return b.fresh("False")
-        me = b.fresh(k)
-        b.link(me, sub, "formula")
-        return me
-    if k in ("And", "Or", "Implication", "U", "R"):
-        l = _fold(kinds, children, b, model, children[n]["left"], strip_x)
-        r = _fold(kinds, children, b, model, children[n]["right"], strip_x)
-        lk, rk = b.kind_of(l), b.kind_of(r)
-        if k == "And":
-            if lk == "False" or rk == "False":
-                return b.fresh("False")
-            if lk == "True":
-                return r
-            if rk == "True":
-                return l
-        if k == "Or":
-            if lk == "True" or rk == "True":
-                return b.fresh("True")
-            if lk == "False":
-                return r
-            if rk == "False":
-                return l
-        if k == "Implication":
-            if lk == "False" or rk == "True":
-                return b.fresh("True")
-            if lk == "True":
-                return r
-            if rk == "False":
-                me = b.fresh("Not")
-                b.link(me, l, "formula")
-                return me
-        if k == "U":
-            if rk == "True":
-                return b.fresh("True")
-            if rk == "False" and lk == "False":
-                return b.fresh("False")
-            if lk == "False":
-                return r
-        if k == "R":
-            if rk == "False":
-                return b.fresh("False")
-            if lk == "True":
-                return r
-        me = b.fresh(k)
-        b.link(me, l, "left")
-        b.link(me, r, "right")
-        return me
-    return _copy_any(b, model, kinds, children, n)
-
-
-def simplify_and_step(system: System, model_name: str) -> System:
-    """Fold boolean constants, then strip every next operator so the residual
-    is ready for the following snapshot."""
-    model = system.find_model(model_name)
-    kinds, children, root = _structure(system, model)
-    b = _Builder(system, model)
-    folded = _fold(kinds, children, b, model, root, strip_x=False)
-    # second phase on the folded structure, which has no root marker yet:
-    # strip X operators
-    interim = b.finish()
-    model2 = interim.find_model(model_name)
-    b2 = _Builder(interim, model2)
-    kinds2, children2, _ = _structure(interim, model2)
-    stripped = _fold(kinds2, children2, b2, model2, folded, strip_x=True)
-    r0 = b2.fresh("Root")
-    b2.link(r0, stripped, "rootf")
-    return b2.finish()
-
-
-def monitor_step(system: System, model_name: str, snapshot: str) -> System:
-    """One verification step against one snapshot: unroll, evaluate the atoms
-    outside the next region, simplify, strip the next operators."""
-    system = unroll(system, model_name)
-    system = evaluate_atomics(system, model_name, snapshot)
-    return simplify_and_step(system, model_name)
-
 
 # ---------------------------------------------------------------------------
 # The same step driven by the shipped rewrite rules
@@ -643,7 +491,7 @@ def _live(system: System, model_name: str):
     and the nodes reached without crossing a next operator, next operators
     excluded."""
     model = system.find_model(model_name)
-    kinds, children, root = _structure(system, model)
+    kinds, children, root = _structure(model)
     depths = {n: -1 for n, k in kinds.items() if k == "Root"}
     now = set(depths)
     walk = [(root, 0, True)]

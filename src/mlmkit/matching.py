@@ -208,6 +208,7 @@ def typed_matches(
     None for any, False for no candidate.  Structural mode keeps only the
     shape, constant and injectivity requirements (used for diagnostics)."""
     model = system.find_model(model_name)
+    indexes: dict = {}  # kind -> by_type index, fetched on first use
 
     def candidates(el: PatternElement):
         pool = model.pools[el.kind]
@@ -216,7 +217,9 @@ def typed_matches(
             if ref is False:
                 return []
             if ref is not None:
-                pool = by_type(system, model_name, el.kind).get(ref, ())
+                if el.kind not in indexes:
+                    indexes[el.kind] = by_type(system, model_name, el.kind)
+                pool = indexes[el.kind].get(ref, ())
         if el.plain:
             return pool
         out = []
